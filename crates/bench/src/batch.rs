@@ -81,16 +81,12 @@ impl std::error::Error for BatchError {}
 #[derive(Debug, Clone)]
 pub struct BatchDriver {
     jobs: usize,
-    intra_jobs: usize,
 }
 
 impl BatchDriver {
     /// A driver running `jobs` workers (clamped to at least one).
     pub fn new(jobs: usize) -> BatchDriver {
-        BatchDriver {
-            jobs: jobs.max(1),
-            intra_jobs: 1,
-        }
+        BatchDriver { jobs: jobs.max(1) }
     }
 
     /// A single-worker driver — the serial reference the differential
@@ -100,33 +96,14 @@ impl BatchDriver {
     }
 
     /// A driver sized from [`crate::BenchOpts::jobs`] (the `--jobs`
-    /// flag; defaults to the machine's available parallelism), with the
-    /// per-worker engines' intra-binary shard count taken from
-    /// `--intra-jobs`. The two axes compose: `jobs` workers each run
-    /// `intra_jobs`-way sharded walks, and output stays byte-identical
-    /// for every combination.
+    /// flag; defaults to the machine's available parallelism).
     pub fn from_opts(opts: &crate::BenchOpts) -> BatchDriver {
-        BatchDriver::new(opts.jobs).with_intra_jobs(opts.intra_jobs)
-    }
-
-    /// Sets the intra-binary shard count every worker engine is
-    /// configured with (see [`RecEngine::set_intra_jobs`]); `0` or `1`
-    /// keeps the walks serial.
-    pub fn with_intra_jobs(mut self, intra_jobs: usize) -> BatchDriver {
-        self.intra_jobs = intra_jobs;
-        self
+        BatchDriver::new(opts.jobs)
     }
 
     /// The configured worker count.
     pub fn jobs(&self) -> usize {
         self.jobs
-    }
-
-    /// One freshly configured per-worker engine.
-    fn worker_engine(&self) -> RecEngine {
-        let mut engine = RecEngine::new();
-        engine.set_intra_jobs(self.intra_jobs);
-        engine
     }
 
     /// Maps `f` over `items`, returning results in item order. Each
@@ -182,7 +159,7 @@ impl BatchDriver {
     {
         let jobs = self.jobs.min(items.len()).max(1);
         if jobs == 1 {
-            return run_shard_serial(self.worker_engine(), items, &f);
+            return run_shard_serial(RecEngine::new(), items, &f);
         }
 
         let abort = AtomicBool::new(false);
@@ -191,7 +168,7 @@ impl BatchDriver {
             for worker in 0..jobs {
                 let tx = tx.clone();
                 let (f, abort) = (&f, &abort);
-                let mut engine = self.worker_engine();
+                let mut engine = RecEngine::new();
                 scope.spawn(move || {
                     for index in (worker..items.len()).step_by(jobs) {
                         if abort.load(Ordering::Relaxed) {

@@ -4,8 +4,7 @@
 //! the end-to-end serving numbers *including* the transport hop
 //! (`perf_snapshot`'s `serve` group measures the same path in-process).
 //!
-//! The run has seven phases over one daemon lifetime plus two
-//! restarts:
+//! The run has six phases over one daemon lifetime plus a restart:
 //!
 //! 1. **cold** — every corpus binary submitted once (all misses);
 //! 2. **warm** — `--rounds` more sweeps (bounded-cache hits, or
@@ -23,12 +22,7 @@
 //!    rewritten) through `reanalyze`: the restarted daemon must answer
 //!    from the delta path (`source: "delta"`, `stats.delta` counters),
 //!    byte-identical to an independent cold analysis of the patched
-//!    bytes;
-//! 7. **intra sweep** — a third daemon over a *fresh* store with its
-//!    workers' intra-binary shard width forced wide (`--intra-jobs`,
-//!    defaulting to 4 when left at 1) recomputes every corpus binary
-//!    cold: shard width is an execution knob, so each reply must be
-//!    byte-identical to the width-1 cold sweep.
+//!    bytes.
 //!
 //! Every reply's rendered `result` object is asserted byte-identical to
 //! the cold reply for that binary — warm, coalesced, and persisted
@@ -544,36 +538,8 @@ fn main() {
             "every neutral rebuild must be answered from the delta path"
         );
     }
-    roundtrip(&socket, &Request::Shutdown.to_line());
-    daemon.join().expect("daemon").expect("serve loop");
-
-    // Phase 7: intra-jobs sweep — same corpus, fresh store, workers
-    // analyzing with a sharded recursive walk. Every answer must match
-    // the width-1 cold sweep byte-for-byte (shard width never leaks
-    // into results); the fresh store guarantees the replies really come
-    // from wide cold computes, not cache or store reuse.
-    let intra_jobs = if opts.intra_jobs > 1 {
-        opts.intra_jobs
-    } else {
-        4
-    };
-    let intra_socket = base.join("fetch-intra.sock");
-    let intra_config = ServeConfig {
-        store_dir: Some(base.join("store-intra")),
-        cache_capacity: CacheCapacity::UNBOUNDED,
-        intra_jobs,
-        faults: faults.clone(),
-        ..ServeConfig::default()
-    };
-    let daemon = start_daemon(intra_socket.clone(), intra_config, jobs);
-    let (wide, _) = sweep(&intra_socket, Some(&cold_results));
-    report(&format!("intra={intra_jobs}"), wide);
-    println!(
-        "  intra sweep: {} cold recomputes at shard width {intra_jobs},          all byte-identical to width 1",
-        cases.len()
-    );
     if let Some(path) = &metrics_out {
-        let (_, metrics) = roundtrip(&intra_socket, &Request::Metrics.to_line());
+        let (_, metrics) = roundtrip(&socket, &Request::Metrics.to_line());
         let text = metrics
             .get("text")
             .and_then(Json::as_str)
@@ -581,16 +547,16 @@ fn main() {
         std::fs::write(path, text).expect("write --metrics-out file");
         println!("  metrics: exposition written to {}", path.display());
     }
-    roundtrip(&intra_socket, &Request::Shutdown.to_line());
+    roundtrip(&socket, &Request::Shutdown.to_line());
     daemon.join().expect("daemon").expect("serve loop");
 
     println!(
         "  total: {:.2} s wall for {} requests",
         t_total.elapsed().as_secs_f64(),
-        lines.len() * (rounds + 3 + CLIENT_COUNTS.iter().sum::<usize>())
+        lines.len() * (rounds + 2 + CLIENT_COUNTS.iter().sum::<usize>())
             + rebuilds.len()
             + coalesce_clients
-            + 10,
+            + 9,
     );
     if !faults.is_empty() {
         println!(

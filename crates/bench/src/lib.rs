@@ -21,10 +21,6 @@
 //!   [`fetch_core::AnalysisCache`] (LRU eviction past it), consumed by
 //!   the serving harnesses (`serve_load`, `perf_snapshot`). Default:
 //!   unbounded.
-//! * `--intra-jobs <N>` — worker threads for the *intra-binary* sharded
-//!   recursive walk (default 1 = serial). Orthogonal to `--jobs`
-//!   (across-binary parallelism); composes with it, and the determinism
-//!   guarantee below covers both knobs.
 //!
 //! **Determinism guarantee:** every harness output is byte-identical for
 //! every `--jobs` value. The [`BatchDriver`] shards deterministically and
@@ -63,12 +59,6 @@ pub struct BenchOpts {
     /// Entry bound of the serving cache (`--cache-capacity N`; `None` =
     /// unbounded), consumed by the serving harnesses.
     pub cache_capacity: Option<usize>,
-    /// Worker threads for the *intra-binary* sharded recursive walk
-    /// (`--intra-jobs N`; default 1 = serial). Orthogonal to `--jobs`,
-    /// which parallelizes *across* binaries; harness output is
-    /// byte-identical at every setting (see
-    /// [`fetch_core::Fetch::intra_jobs`]).
-    pub intra_jobs: usize,
 }
 
 impl Default for BenchOpts {
@@ -81,7 +71,6 @@ impl Default for BenchOpts {
             jobs: default_jobs(),
             pipeline: None,
             cache_capacity: None,
-            intra_jobs: 1,
         }
     }
 }
@@ -151,10 +140,6 @@ pub fn opts_from(args: &[String]) -> Result<BenchOpts, String> {
                     args.get(i),
                     "a positive integer",
                 )?);
-            }
-            "--intra-jobs" => {
-                i += 1;
-                opts.intra_jobs = positive("--intra-jobs", args.get(i), "a positive integer")?;
             }
             "--pipeline" => {
                 i += 1;
@@ -360,21 +345,6 @@ mod tests {
         assert_eq!(opts.scale.bin_divisor, 3);
         assert!((opts.scale.func_scale - 0.5).abs() < 1e-9);
         assert_eq!(opts.jobs, 7);
-    }
-
-    #[test]
-    fn intra_jobs_parses_and_rejects_non_positive() {
-        assert_eq!(parse(&[]).unwrap().intra_jobs, 1);
-        assert_eq!(parse(&["--intra-jobs", "4"]).unwrap().intra_jobs, 4);
-        for bad in [
-            vec!["--intra-jobs", "0"],
-            vec!["--intra-jobs", "-2"],
-            vec!["--intra-jobs", "all"],
-            vec!["--intra-jobs"],
-        ] {
-            let err = parse(&bad).expect_err(&format!("{bad:?} must be rejected"));
-            assert!(err.contains("--intra-jobs"), "{err}");
-        }
     }
 
     #[test]

@@ -165,7 +165,6 @@ fn fetch_entry_points_match_pre_refactor_sequence() {
         let fetch = Fetch {
             skip_pointer_scan: skip_scan,
             skip_repair,
-            ..Fetch::default()
         };
         let mut legacy_layers: Vec<&dyn Strategy> = vec![&FdeSeeds];
         let rec = SafeRecursion::default();

@@ -178,9 +178,7 @@ pub struct SectionDigest {
 /// pointer-scan, or jump-table consumer resolves). Two versions whose
 /// buckets are geometry-identical and `sem`-equal yield identical
 /// detection results under any delta-safe pipeline
-/// ([`crate::Pipeline::delta_safe`]); versions differing only in
-/// covered text buckets can replay through a rewarmed
-/// [`fetch_disasm::RecEngine`] instead of a cold one.
+/// ([`crate::Pipeline::delta_safe`]).
 ///
 /// Known residual risk, deliberately accepted (mirroring
 /// `RecEngine::plan_extension`): the sweep projects each bucket at its
@@ -202,9 +200,8 @@ pub struct ImageDigest {
     pub symbols: u64,
     /// [`fetch_disasm::text_content_hash`] of the `.text` bytes — the
     /// hash a [`fetch_disasm::RecEngine`] fingerprints its decode cache
-    /// with, so delta analysis can prove an engine is warm for exactly
-    /// this version before rewarming it
-    /// ([`fetch_disasm::RecEngine::rewarm_patched`]).
+    /// with. Part of [`ImageDigest::content_identical`], and persisted
+    /// with the digest by the serial format.
     pub text_hash: u64,
     /// Per-section records, in image section order.
     pub sections: Vec<SectionDigest>,
@@ -282,9 +279,6 @@ pub enum DigestDiff {
     /// Only `.text` content changed, and the bucket geometry (FDE
     /// ranges, section shape) is identical — the change is *local*.
     LocalText {
-        /// The changed half-open `[start, end)` bucket windows (raw or
-        /// semantic fingerprint moved), ascending.
-        windows: Vec<(u64, u64)>,
         /// Whether every bucket's *semantic* fingerprint is unchanged —
         /// when true, a delta-safe pipeline's result provably cannot
         /// move.
@@ -325,7 +319,7 @@ pub fn diff_digests(old: &ImageDigest, new: &ImageDigest) -> DigestDiff {
             reason: "section added or removed",
         };
     }
-    let mut windows = Vec::new();
+    let mut changed = false;
     let mut sem_equal = true;
     let mut reused = 0usize;
     for (o, n) in old.sections.iter().zip(&new.sections) {
@@ -357,14 +351,14 @@ pub fn diff_digests(old: &ImageDigest, new: &ImageDigest) -> DigestDiff {
                 reused += 1;
             }
             if ob.raw != nb.raw || ob.sem != nb.sem {
-                windows.push((nb.start, nb.end));
+                changed = true;
             }
             if ob.sem != nb.sem {
                 sem_equal = false;
             }
         }
     }
-    if windows.is_empty() {
+    if !changed {
         // Sections compare equal bucket-by-bucket yet the digests are
         // not content-identical — can only be a per-section raw drift
         // the buckets missed, which the tiling makes impossible; treat
@@ -373,11 +367,7 @@ pub fn diff_digests(old: &ImageDigest, new: &ImageDigest) -> DigestDiff {
             reason: "digest mismatch outside text buckets",
         };
     }
-    DigestDiff::LocalText {
-        windows,
-        sem_equal,
-        reused,
-    }
+    DigestDiff::LocalText { sem_equal, reused }
 }
 
 /// Partitions `.text` into FDE-range buckets: the binary's (merged,

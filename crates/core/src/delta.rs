@@ -12,22 +12,17 @@
 //!    immediates moved), and the pipeline is [`Pipeline::delta_safe`]:
 //!    the old result is still the answer verbatim, because no
 //!    delta-safe layer can observe a masked immediate.
-//! 3. **Recompute** — the diff is local but tier 2's conditions fail
-//!    (real code changed, or the pipeline contains a byte-scanning
-//!    layer): the full pipeline re-runs, but through
-//!    [`RecEngine::rewarm_patched`] — the engine keeps its decode cache
-//!    for every byte outside the changed windows, so the re-run decodes
-//!    only the patched neighborhoods.
-//! 4. **Cold** — the diff is [`DigestDiff::NonLocal`] (or there is no
-//!    previous digest at all): plain cold compute, exactly as if the
-//!    binary had never been seen.
+//! 3. **Cold run** — anything else: plain cold compute, exactly as if
+//!    the binary had never been seen. The two ways down are counted
+//!    apart: a local change that tier 2 cannot reuse (real code
+//!    changed, or the pipeline contains a byte-scanning layer) is
+//!    [`DeltaClass::Recompute`]; a [`DigestDiff::NonLocal`] diff, or no
+//!    previous digest at all, is [`DeltaClass::Cold`].
 //!
 //! Every tier returns a result byte-identical to a cold run of the same
-//! pipeline on the new binary — tiers 3–4 because they *are* (possibly
-//! decode-warm) full runs, whose equivalence the incremental-recursion
-//! property tests already pin; tiers 1–2 by the digest soundness
-//! argument above, pinned by the differential suite in
-//! `tests/proptest_delta.rs`.
+//! pipeline on the new binary — the fallbacks because they *are* cold
+//! runs; tiers 1–2 by the digest soundness argument above, pinned by
+//! the differential suite in `tests/proptest_delta.rs`.
 
 use crate::cache::{diff_digests, DigestDiff, ImageDigest};
 use crate::pipeline::Pipeline;
@@ -44,10 +39,9 @@ pub enum DeltaClass {
     /// Tier 2: local, semantically-equal text change under a delta-safe
     /// pipeline; old result returned verbatim.
     SectionReuse,
-    /// Tier 3: local change, full pipeline re-run through a
-    /// window-invalidated warm decode cache.
+    /// Local change, answered by a cold run.
     Recompute,
-    /// Tier 4: non-local change or no previous digest; plain cold run.
+    /// Non-local change or no previous digest; plain cold run.
     Cold,
 }
 
@@ -81,7 +75,7 @@ pub struct DeltaOutcome {
     pub class: DeltaClass,
     /// Text buckets whose raw bytes were unchanged between the two
     /// versions — the reuse the digest diff *proved*, whichever tier
-    /// ran. Zero on tier 4.
+    /// ran. Zero on [`DeltaClass::Cold`].
     pub sections_reused: usize,
 }
 
@@ -91,11 +85,10 @@ pub struct DeltaOutcome {
 /// `new_digest` must be [`ImageDigest::compute`]d from `new_binary`;
 /// the caller keeps it to persist alongside the returned result (so the
 /// *next* version can delta against this one). A `None` `prev_digest`
-/// — a result stored before digests existed — drops straight to tier 4.
+/// — a result stored before digests existed — drops straight to a
+/// [`DeltaClass::Cold`] run.
 ///
-/// The engine is only consulted on tiers 3–4; on tier 3 it is rewarmed
-/// with [`RecEngine::rewarm_patched`] first, so a pooled engine that
-/// was warm for the *old* version re-decodes only the changed windows.
+/// The engine is only consulted by the cold-run fallbacks.
 pub fn run_delta(
     pipeline: &Pipeline,
     prev_result: &Arc<DetectionResult>,
@@ -117,11 +110,7 @@ pub fn run_delta(
             class: DeltaClass::Unchanged,
             sections_reused: buckets,
         },
-        DigestDiff::LocalText {
-            windows,
-            sem_equal,
-            reused,
-        } => {
+        DigestDiff::LocalText { sem_equal, reused } => {
             if sem_equal && pipeline.delta_safe() {
                 return DeltaOutcome {
                     result: Arc::clone(prev_result),
@@ -129,10 +118,6 @@ pub fn run_delta(
                     sections_reused: reused,
                 };
             }
-            // Correctness does not depend on the rewarm succeeding: a
-            // `false` return leaves the engine keyed to some other
-            // binary, and the run below cold-resets it on entry.
-            engine.rewarm_patched(new_binary, old.text_hash, &windows);
             DeltaOutcome {
                 result: Arc::new(pipeline.run_with_engine(new_binary, engine)),
                 class: DeltaClass::Recompute,

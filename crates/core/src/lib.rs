@@ -53,33 +53,6 @@
 //! one decode cache. A second property test proves sharing an engine
 //! across different stacks changes no result.
 //!
-//! ## Intra-binary parallelism: shard → merge → identical result
-//!
-//! The layer pipeline for one binary is inherently sequential (each
-//! layer consumes the previous layer's starts), so the remaining
-//! parallelism *inside* one analysis lives in the recursive walk:
-//! [`fetch_disasm::RecEngine::set_intra_jobs`] splits a walk's seed
-//! set across worker shards. Each shard runs a *scout* pass that
-//! decodes its seeds' reachable code into a private fork of the shared
-//! decode cache; the engine then absorbs the forks and *replays* the
-//! walk serially over now-cached instructions. Replay re-establishes
-//! the serial walk's exact visit order and tie-breaks, so the decoded
-//! set, jump-table resolutions, and every downstream verdict are
-//! byte-identical at every width — shard width is an execution knob,
-//! never an analysis input. A property test
-//! (`proptest_intra`) asserts sharded ≡ serial over random corpora,
-//! and the CI determinism job diffs full harness outputs at
-//! `--intra-jobs 1` vs `N`.
-//!
-//! Intra-binary sharding composes with the two outer levels of
-//! parallelism — the batch driver's per-binary workers
-//! (`BatchDriver --jobs` in `fetch-bench`) and the serving daemon's
-//! worker pool (`fetch-serve --jobs`) — because each worker owns its
-//! engine: widths multiply, determinism guarantees stack. On corpora
-//! of small binaries prefer outer parallelism (per-binary workers
-//! amortize better than per-walk shards); reach for `intra_jobs > 1`
-//! when single large binaries dominate latency.
-//!
 //! ## Pipelines: spec → executor → trace → cache
 //!
 //! Detectors are *data*, not code paths. The pipeline subsystem has four
@@ -217,19 +190,21 @@
 //!    ([`RESULT_VERSION_V1`]) blobs still read back (digest `None`).
 //! 2. **Diff.** [`diff_digests`] classifies a version pair:
 //!    [`DigestDiff::Identical`], [`DigestDiff::LocalText`] (only text
-//!    bucket contents moved — with the changed windows, a semantic
-//!    verdict, and the reuse count), or [`DigestDiff::NonLocal`]
+//!    bucket contents moved — with a semantic verdict and the reuse
+//!    count), or [`DigestDiff::NonLocal`]
 //!    (layout/symbols/entry/non-text changed).
-//! 3. **Replay.** [`run_delta`] walks the ladder: identical → old
-//!    result verbatim; local + semantically equal + a
-//!    [`Pipeline::delta_safe`] stack → old result verbatim (the
-//!    `delta_hits` path); local otherwise → full pipeline re-run
-//!    through [`fetch_disasm::RecEngine::rewarm_patched`], which keeps
-//!    every decode outside the patched windows warm.
-//! 4. **Fallback.** Non-local diffs and digest-less predecessors drop
-//!    to a plain cold run — delta is an optimization, never a gamble:
-//!    every tier's answer is byte-identical to cold (differentially
-//!    property-tested in `tests/proptest_delta.rs`).
+//! 3. **Replay.** [`run_delta`] walks the ladder: unchanged → section
+//!    reuse → cold run. Identical digests return the old result
+//!    verbatim; a local, semantically equal change under a
+//!    [`Pipeline::delta_safe`] stack also returns it verbatim (the
+//!    `delta_hits` path).
+//! 4. **Fallback.** Everything else is a plain cold run, with the two
+//!    fallbacks counted apart: a local change the reuse tier cannot
+//!    answer is [`DeltaClass::Recompute`]; a non-local diff or a
+//!    digest-less predecessor is [`DeltaClass::Cold`]. Delta is an
+//!    optimization, never a gamble: every tier's answer is
+//!    byte-identical to cold (differentially property-tested in
+//!    `tests/proptest_delta.rs`).
 //!
 //! ```
 //! use fetch_core::{DeltaClass, Fetch, ImageDigest};

@@ -2,9 +2,9 @@
 //! [`run_delta`] must be **byte-identical** to a cold run of the same
 //! pipeline on the new binary.
 //!
-//! Tiers 3–4 are (possibly decode-warm) full runs, whose equivalence
-//! the incremental-recursion suite already pins; the load-bearing
-//! claims here are the *verbatim-reuse* tiers:
+//! The fallbacks (`Recompute` for a local change, `Cold` otherwise) are
+//! plain cold runs; the load-bearing claims here are the
+//! *verbatim-reuse* tiers:
 //!
 //! * tier 1 (*unchanged*): an identical resubmission returns the old
 //!   result untouched, under **any** pipeline;
@@ -18,8 +18,7 @@
 //! [`PatchKind`]s) × random pipelines drawn from [`KNOWN_LAYERS`]
 //! (including non-delta-safe, byte-scanning layers, which must demote
 //! tier 2 to a recompute), with the engine both cold and pre-warmed on
-//! the *old* version (the pooled-engine shape the serving layer uses,
-//! exercising `RecEngine::rewarm_patched`).
+//! the *old* version (the pooled-engine shape the serving layer uses).
 
 use fetch_binary::{write_elf, Binary, ElfImage};
 use fetch_core::{
@@ -79,7 +78,7 @@ fn check_patch(old: &Binary, patch: &FunctionPatch, pipeline: &Pipeline, warm_en
     let mut engine = RecEngine::new();
     let prev = Arc::new(if warm_engine {
         // Leave the engine keyed warm to the *old* version, as a pooled
-        // serving engine would be — tier 3 must rewarm, not misread.
+        // serving engine would be — the fallback must not misread it.
         pipeline.run_with_engine(old, &mut engine)
     } else {
         pipeline.run(old)

@@ -355,67 +355,6 @@ impl DecodeCache {
         self.errors.clear();
     }
 
-    /// Drops every cached decode (and decode error) whose bytes could
-    /// overlap the half-open address window `[start, end)`: an
-    /// instruction starting up to [`MAX_INST_LEN`]` - 1` bytes before
-    /// the window can extend into it. Orphans the pool slots instead of
-    /// reclaiming them — the pool stays bounded by total distinct
-    /// decodes over the engine's lifetime either way.
-    fn invalidate_window(&mut self, start: u64, end: u64) {
-        if end <= self.base || self.index.is_empty() {
-            return;
-        }
-        let lo_addr = start.saturating_sub(MAX_INST_LEN as u64 - 1).max(self.base);
-        let lo = (lo_addr - self.base) as usize;
-        let hi = ((end - self.base) as usize).min(self.index.len());
-        if lo >= hi {
-            return;
-        }
-        for slot in &mut self.index[lo..hi] {
-            *slot = NO_SLOT;
-        }
-        let stale: Vec<u64> = self.errors.range(lo_addr..end).map(|(&a, _)| a).collect();
-        for a in stale {
-            self.errors.remove(&a);
-        }
-    }
-
-    /// A private copy for a scout shard: same cached entries, zeroed
-    /// counters (the shared cache accounts merged work at absorb time).
-    fn fork(&self) -> DecodeCache {
-        DecodeCache {
-            hits: 0,
-            misses: 0,
-            ..self.clone()
-        }
-    }
-
-    /// Merges every decode (and decode error) a forked scout cache
-    /// holds that this cache does not. Each absorbed entry counts as
-    /// one miss here — the miss a serial walk would have paid for that
-    /// address — so `misses` tracks distinct decode work, not how many
-    /// shards happened to decode an address; scout-side counters are
-    /// dropped. Insertion follows the fork's index order, keeping the
-    /// merge deterministic for a fixed shard order.
-    fn absorb(&mut self, other: &DecodeCache) {
-        debug_assert_eq!(self.base, other.base);
-        debug_assert_eq!(self.index.len(), other.index.len());
-        for (off, &slot) in other.index.iter().enumerate() {
-            if slot == NO_SLOT || self.index[off] != NO_SLOT {
-                continue;
-            }
-            let addr = self.base + off as u64;
-            if slot == ERR_SLOT {
-                self.errors.insert(addr, other.errors[&addr]);
-                self.index[off] = ERR_SLOT;
-            } else {
-                self.insts.push(other.insts[(slot - 1) as usize]);
-                self.index[off] = self.insts.len() as u32;
-            }
-            self.misses += 1;
-        }
-    }
-
     /// `decode(text, addr)` through the cache. `addr` must be in `text`.
     #[allow(dead_code)]
     fn decode_at(&mut self, text: &Section, addr: u64) -> Result<Inst, DecodeError> {
@@ -652,12 +591,6 @@ pub struct RecEngine {
     fingerprint: Option<(String, u64, u64)>,
     last: Option<LastRun>,
     generation: u64,
-    /// Worker count for the sharded scout pass of a full walk
-    /// (`0`/`1` = serial). Engine configuration, not a walk input: it
-    /// cannot change any observable output, so it deliberately lives
-    /// outside [`RecOptions`] (which participates in result-cache
-    /// equality and extension planning).
-    intra_jobs: usize,
 }
 
 /// FNV-1a over 8-byte chunks — fast enough to run per [`RecEngine::run`]
@@ -665,9 +598,8 @@ pub struct RecEngine {
 /// identical name and text placement (e.g. an in-place patched image)
 /// cannot silently reuse stale decode state.
 ///
-/// Public because version-delta callers key engine rewarm decisions off
-/// the same hash ([`RecEngine::rewarm_patched`] verifies the engine is
-/// warm for exactly the predecessor text before keeping its cache).
+/// Public because version digests (`fetch_core::ImageDigest::text_hash`)
+/// record the same hash per image.
 pub fn text_content_hash(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ bytes.len() as u64;
     let mut chunks = bytes.chunks_exact(8);
@@ -698,19 +630,6 @@ impl RecEngine {
     /// A fresh engine with an empty cache.
     pub fn new() -> RecEngine {
         RecEngine::default()
-    }
-
-    /// Sets the worker count for the intra-binary sharded walk (`0` or
-    /// `1` = serial). See the crate-level notes on determinism: any
-    /// value produces byte-identical results; only wall time changes.
-    pub fn set_intra_jobs(&mut self, jobs: usize) {
-        self.intra_jobs = jobs;
-    }
-
-    /// The configured intra-binary worker count (see
-    /// [`RecEngine::set_intra_jobs`]).
-    pub fn intra_jobs(&self) -> usize {
-        self.intra_jobs
     }
 
     /// Runs safe recursive disassembly, reusing previous work where the
@@ -792,52 +711,6 @@ impl RecEngine {
         (self.cache.hits, self.cache.misses)
     }
 
-    /// Retargets the engine's decode cache at a *patched* version of the
-    /// binary it is currently warm for, dropping only the cached decodes
-    /// a byte change inside the `changed` windows could affect.
-    ///
-    /// The caller must guarantee that `new_bin`'s text differs from the
-    /// predecessor text **only** within the given half-open
-    /// `[start, end)` virtual-address windows, and passes the
-    /// predecessor's [`text_content_hash`] as proof of which version the
-    /// cache must be warm for. When the engine's fingerprint matches
-    /// `(new_bin.name, text base, old_text_hash)` and the text length is
-    /// unchanged, the windows are invalidated (widened by
-    /// [`MAX_INST_LEN`]` - 1` leading bytes — a straddling instruction
-    /// decodes differently), the fingerprint moves to the new content,
-    /// and the previous walk state is dropped so the next run re-walks —
-    /// decode-free outside the windows. Returns `true` when the warm
-    /// cache was retained; `false` when the engine was warm for
-    /// something else (it will reset cold on its next run — still
-    /// correct, just slower).
-    pub fn rewarm_patched(
-        &mut self,
-        new_bin: &Binary,
-        old_text_hash: u64,
-        changed: &[(u64, u64)],
-    ) -> bool {
-        let text = new_bin.text();
-        let warm_for_old = self.fingerprint.as_ref().is_some_and(|(name, addr, hash)| {
-            *name == new_bin.name
-                && *addr == text.addr
-                && *hash == old_text_hash
-                && self.cache.index.len() == text.bytes.len()
-        });
-        if !warm_for_old {
-            return false;
-        }
-        for &(start, end) in changed {
-            self.cache.invalidate_window(start, end);
-        }
-        self.fingerprint = Some((
-            new_bin.name.clone(),
-            text.addr,
-            text_content_hash(&text.bytes),
-        ));
-        self.last = None;
-        true
-    }
-
     fn sync_fingerprint(&mut self, bin: &Binary) {
         let text = bin.text();
         let fp = (bin.name.clone(), text.addr, text_content_hash(&text.bytes));
@@ -873,12 +746,6 @@ impl RecEngine {
             None => {
                 extended_only = false;
                 let noreturn = BTreeSet::new();
-                // Intra-binary parallelism: scout shards pre-fill the
-                // decode cache, then the canonical serial walk below
-                // replays over it — decode-free, and byte-identical to
-                // a serial run by construction (decode is a pure
-                // function of the immutable text).
-                self.scout_walk(bin, opts, seeds, &noreturn);
                 (
                     walk_full(bin, opts, &mut self.cache, seeds, &noreturn),
                     noreturn,
@@ -912,58 +779,6 @@ impl RecEngine {
         }
 
         (state, noreturn, extended_only)
-    }
-
-    /// The sharded scout pass of an intra-parallel full walk: the
-    /// sorted seed set is partitioned into contiguous address regions,
-    /// one scoped worker per region runs a private walk over a forked
-    /// view of the decode cache, and the forks are absorbed back in
-    /// deterministic region order (the same index-ordered merge
-    /// discipline `BatchDriver` uses across binaries). Only decode
-    /// work is kept — discovered starts and edges are re-derived by
-    /// the canonical walk that follows, which is what guarantees
-    /// byte-identical results at any worker count.
-    ///
-    /// Serial when `intra_jobs <= 1` or there are fewer seeds than
-    /// would fill two shards. Decode `misses` stay equal to a serial
-    /// run's in the common case (each absorbed address counts once);
-    /// `hits` additionally count the replay pass — both are
-    /// instrumentation, excluded from every equality the differential
-    /// suites assert.
-    fn scout_walk(
-        &mut self,
-        bin: &Binary,
-        opts: &RecOptions,
-        seeds: &BTreeSet<u64>,
-        noreturn: &BTreeSet<u64>,
-    ) {
-        let shards = self.intra_jobs.min(seeds.len());
-        if shards < 2 {
-            return;
-        }
-        let sorted: Vec<u64> = seeds.iter().copied().collect();
-        let per_shard = sorted.len().div_ceil(shards);
-        let shared = &self.cache;
-        let scouted: Vec<DecodeCache> = std::thread::scope(|scope| {
-            let handles: Vec<_> = sorted
-                .chunks(per_shard)
-                .map(|region| {
-                    let mut cache = shared.fork();
-                    scope.spawn(move || {
-                        let region_seeds: BTreeSet<u64> = region.iter().copied().collect();
-                        walk_full(bin, opts, &mut cache, &region_seeds, noreturn);
-                        cache
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("scout shard panicked"))
-                .collect()
-        });
-        for cache in &scouted {
-            self.cache.absorb(cache);
-        }
     }
 
     /// Returns the newly added seeds when the previous run can be
@@ -1131,35 +946,25 @@ mod tests {
     }
 
     #[test]
-    fn sharded_walk_matches_serial_at_any_worker_count() {
+    fn decode_misses_count_distinct_decode_work() {
         let case = case();
         let eh = case.binary.eh_frame().unwrap();
         let seeds: BTreeSet<u64> = eh.pc_begins().into_iter().collect();
         let opts = RecOptions::default();
-        let serial = recursive_disassemble(&case.binary, &seeds, &opts);
-        let serial_misses = {
+        let fresh_misses = || {
             let mut e = RecEngine::new();
             e.run(&case.binary, &seeds, &opts);
             e.decode_stats().1
         };
-        for jobs in [2usize, 3, 7, 64] {
-            let mut engine = RecEngine::new();
-            engine.set_intra_jobs(jobs);
-            assert_eq!(engine.intra_jobs(), jobs);
-            let r = engine.run(&case.binary, &seeds, &opts);
-            assert_eq!(r.functions, serial.functions);
-            assert_eq!(r.noreturn, serial.noreturn);
-            let a: Vec<u64> = r.disasm.iter().map(|i| i.addr).collect();
-            let b: Vec<u64> = serial.disasm.iter().map(|i| i.addr).collect();
-            assert_eq!(a, b, "decoded address sequence diverged at {jobs} jobs");
-            assert_eq!(
-                r.disasm.jump_tables.keys().collect::<Vec<_>>(),
-                serial.disasm.jump_tables.keys().collect::<Vec<_>>()
-            );
-            // Distinct decode work is shard-invariant on this corpus:
-            // absorbed scout entries count once, like serial misses.
-            assert_eq!(engine.decode_stats().1, serial_misses);
-        }
+        let misses = fresh_misses();
+        assert!(misses > 0);
+        // Two fresh engines on the same input do the same decode work.
+        assert_eq!(fresh_misses(), misses);
+        // An identical-input re-run decodes nothing new.
+        let mut engine = RecEngine::new();
+        engine.run(&case.binary, &seeds, &opts);
+        engine.run(&case.binary, &seeds, &opts);
+        assert_eq!(engine.decode_stats().1, misses);
     }
 
     #[test]

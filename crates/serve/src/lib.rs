@@ -37,8 +37,8 @@
 //!   version* of a known binary through the delta ladder
 //!   ([`fetch_core::run_delta`]): verbatim reuse when the persisted
 //!   [`fetch_core::ImageDigest`] proves the patch answer-preserving
-//!   (source `"delta"`, `stats.delta` counters), decode-warm or cold
-//!   otherwise — always byte-identical to a cold `analyze`.
+//!   (source `"delta"`, `stats.delta` counters), a cold run otherwise
+//!   — always byte-identical to a cold `analyze`.
 //! * [`store`] — [`ResultStore`]: one atomic, versioned, checksummed
 //!   file per `(content fingerprint, pipeline id)`, holding the full
 //!   [`fetch_core::DetectionResult`] *including its trace* and the

@@ -171,8 +171,8 @@ pub enum Request {
         pipeline: Pipeline,
     },
     /// Analyze a new version of a previously-analyzed binary through
-    /// the delta ladder (digest diff → verbatim reuse / warm recompute
-    /// / cold fallback). Result-identical to [`Request::Analyze`].
+    /// the delta ladder (digest diff → verbatim reuse / cold fallback).
+    /// Result-identical to [`Request::Analyze`].
     Reanalyze {
         /// Fingerprint of the previous version (from its analyze
         /// reply) — the entry to delta against.
@@ -316,8 +316,8 @@ pub struct DeltaCounters {
     /// Total text buckets whose reuse the digest diffs proved, summed
     /// over all reanalyzes (whichever tier ran).
     pub sections_reused: u64,
-    /// Reanalyzes that fell back to a (decode-warm) full recompute —
-    /// the change was local but not provably answer-preserving.
+    /// Reanalyzes that fell back to a cold run although the change was
+    /// local — it was not provably answer-preserving.
     pub fallback_cold: u64,
     /// Reanalyzes that ran plain cold: non-local change, or no usable
     /// predecessor (unknown fingerprint / digest-less entry).

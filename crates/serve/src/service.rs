@@ -117,12 +117,6 @@ pub struct ServeConfig {
     pub store_gc: GcPolicy,
     /// The armed fault plan (default: empty — never fires).
     pub faults: Arc<FaultPlan>,
-    /// Worker threads for the intra-binary sharded recursive walk on
-    /// cold computes (`0` or `1` = serial). Answers are byte-identical
-    /// at every setting (see [`fetch_core::Fetch::intra_jobs`]); this
-    /// composes with the server's request-level worker pool the same
-    /// way `--intra-jobs` composes with the batch driver's `--jobs`.
-    pub intra_jobs: usize,
 }
 
 /// Lock-free request counters ([`RequestCounters`] is their snapshot).
@@ -303,7 +297,6 @@ pub struct AnalysisService {
     telemetry: TelemetryHub,
     counters: Counters,
     faults: Arc<FaultPlan>,
-    intra_jobs: usize,
     shutdown: AtomicBool,
     obs: ServiceObs,
 }
@@ -347,7 +340,6 @@ impl AnalysisService {
             telemetry: TelemetryHub::default(),
             counters,
             faults: config.faults.clone(),
-            intra_jobs: config.intra_jobs,
             shutdown: AtomicBool::new(false),
             obs,
         })
@@ -634,17 +626,13 @@ impl AnalysisService {
         }
     }
 
-    /// Pops a pool engine (or makes a fresh one), configured with the
-    /// service's intra-binary shard count.
+    /// Pops a pool engine (or makes a fresh one).
     fn borrow_engine(&self) -> RecEngine {
-        let mut engine = self
-            .engines
+        self.engines
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .pop()
-            .unwrap_or_default();
-        engine.set_intra_jobs(self.intra_jobs);
-        engine
+            .unwrap_or_default()
     }
 
     /// Runs the pipeline on a borrowed pool engine.
@@ -810,8 +798,9 @@ impl AnalysisService {
     ///    `digest_mismatch` — there was nothing sound to delta against).
     /// 3. The ladder runs on a pooled engine; tiers 1–2 reuse the
     ///    previous result verbatim (source `"delta"`, counted in
-    ///    `delta_hits`), tier 3 recomputes decode-warm
-    ///    (`fallback_cold`), tier 4 runs plain cold (`digest_mismatch`).
+    ///    `delta_hits`); otherwise it runs plain cold, counted as
+    ///    `fallback_cold` for a local change and `digest_mismatch` for
+    ///    a non-local one.
     ///
     /// Whatever tier answered, the result and the new image's digest
     /// are published to the cache and store, so the next version deltas
@@ -1270,8 +1259,8 @@ mod tests {
         assert_eq!(stats.requests.cold, 0, "no pipeline ran");
 
         // A behavioral patch (an immediate became a code address) is
-        // not provably answer-preserving: decode-warm recompute,
-        // byte-identical, counted as a cold fallback.
+        // not provably answer-preserving: a cold run, byte-identical,
+        // counted as a cold fallback.
         let recomputed = reanalyze(elf_v2b);
         assert_eq!(reply_source(&recomputed), ServeSource::Cold);
         assert_eq!(result_json_of(&recomputed), ref_v2b);

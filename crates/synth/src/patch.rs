@@ -13,8 +13,8 @@
 //!   tier).
 //! * [`PatchKind::Behavioral`] rewrites such an immediate to *another
 //!   function's entry address* — a semantic change (a new code
-//!   constant the pointer scan may act on), forcing the *recompute*
-//!   tier.
+//!   constant the pointer scan may act on), forcing a cold run of the
+//!   local (*recompute*) kind.
 //! * [`PatchKind::Resize`] grows the function by one byte (`ret` →
 //!   `nop; ret` into the alignment padding) and fixes up its FDE's
 //!   `pc_range` — `.eh_frame` bytes change, so the diff is non-local
