@@ -12,9 +12,8 @@
 
 use fetch_bench::{banner, dataset2, opts_from_args, paper, BatchDriver};
 use fetch_binary::TestCase;
-use fetch_core::Pipeline;
+use fetch_core::{Pipeline, Tool};
 use fetch_metrics::{evaluate, Aggregate, BinaryEval, TextTable};
-use fetch_tools::angr_rejects;
 
 /// A panel: the distinct full pipelines to execute, and the printed rows
 /// as `(label, pipeline index, prefix depth)`.
@@ -94,7 +93,7 @@ fn run_panel(
     let usable: Vec<TestCase> = if skip_angr_failures {
         cases
             .iter()
-            .filter(|c| !angr_rejects(&c.binary))
+            .filter(|c| !Tool::Angr.fails_to_open(&c.binary.name))
             .cloned()
             .collect()
     } else {

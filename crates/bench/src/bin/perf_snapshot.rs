@@ -20,9 +20,9 @@
 //!   the L2 cliff no matter how the work is scheduled.
 //! * `layer_breakdown` — the per-layer trace of the large corpus run:
 //!   wall time, starts added/removed, and decode work per layer.
-//! * `cache` — the serving layer: a cold `detect_image_cached` miss vs
-//!   a warm hit on the same image (the snapshot asserts the hit is
-//!   ≥ 10× faster), the hit rate of a two-round corpus sweep through
+//! * `cache` — the serving layer: a cold cached FETCH run on the large
+//!   image (a miss) vs a warm hit on the same image (the snapshot
+//!   asserts the hit is ≥ 10× faster), the hit rate of a two-round corpus sweep through
 //!   one shared [`AnalysisCache`] (with eviction count and entry/byte
 //!   footprint), and a capacity-bounded sweep demonstrating LRU
 //!   eviction under pressure.
@@ -62,8 +62,8 @@
 use fetch_bench::{dataset2, default_jobs, BatchDriver, BenchOpts};
 use fetch_binary::{read_elf, write_elf, ElfImage, ElfView};
 use fetch_core::{
-    image_fingerprint, AnalysisCache, DeltaClass, DetectionState, Fetch, ImageDigest, LayerTrace,
-    Pipeline,
+    content_fingerprint, image_fingerprint, run_delta, AnalysisCache, DeltaClass, DetectionState,
+    ImageDigest, LayerTrace, Pipeline,
 };
 use fetch_disasm::RecEngine;
 use fetch_synth::{patch_function, synthesize, PatchKind, SynthConfig};
@@ -374,30 +374,38 @@ fn main() {
         ElfImage::parse(elf).expect("own ELF parses")
     };
 
-    // Serving-layer cache group: a cold `detect_image_cached` (miss:
+    // Serving-layer cache group: a cold cached FETCH run (miss:
     // fingerprint + full pipeline) vs a warm hit (fingerprint + lookup)
     // on the large stripped image, and the hit rate of a two-round
     // corpus sweep through one shared cache. The ≥ 10× bar is the
     // acceptance criterion of the serving layer — fail loudly, not
     // quietly, if memoization ever stops paying.
     {
-        let fetch = Fetch::new();
+        let fetch = Pipeline::fetch();
+        // The id is computed once, so a warm hit times a fingerprint
+        // plus a lookup with no per-hit allocation.
+        let id = fetch.id();
+        let cached = |engine: &mut RecEngine, cache: &AnalysisCache| {
+            cache.get_or_compute(image_fingerprint(&large_image), &id, || {
+                fetch.run_with_engine(&large_image.to_binary(), engine)
+            })
+        };
         let mut cold_us = f64::INFINITY;
         for _ in 0..reps {
             let cache = AnalysisCache::new();
             let mut engine = RecEngine::new();
             let t = Instant::now();
-            let r = fetch.detect_image_cached(&large_image, &mut engine, &cache);
+            let r = cached(&mut engine, &cache);
             cold_us = cold_us.min(t.elapsed().as_secs_f64() * 1e6);
             assert!(!r.is_empty());
         }
         let warm_cache = AnalysisCache::new();
         let mut engine = RecEngine::new();
-        let cold_result = fetch.detect_image_cached(&large_image, &mut engine, &warm_cache);
+        let cold_result = cached(&mut engine, &warm_cache);
         let mut warm_us = f64::INFINITY;
         for _ in 0..reps.max(3) {
             let t = Instant::now();
-            let r = fetch.detect_image_cached(&large_image, &mut engine, &warm_cache);
+            let r = cached(&mut engine, &warm_cache);
             warm_us = warm_us.min(t.elapsed().as_secs_f64() * 1e6);
             assert!(
                 std::sync::Arc::ptr_eq(&cold_result, &r),
@@ -420,7 +428,9 @@ fn main() {
         let driver = BatchDriver::new(jobs);
         let sweep = |driver: &BatchDriver| {
             driver.run_with_cache(&cases, &corpus_cache, |engine, cache, case| {
-                fetch.detect_cached(&case.binary, engine, cache)
+                cache.get_or_compute(content_fingerprint(&case.binary), &id, || {
+                    fetch.run_with_engine(&case.binary, engine)
+                })
             })
         };
         let round1 = sweep(&driver);
@@ -439,7 +449,9 @@ fn main() {
             fetch_core::AnalysisCache::with_capacity(fetch_core::CacheCapacity::entries(capacity));
         let bounded_sweep = |driver: &BatchDriver| {
             driver.run_with_cache(&cases, &bounded_cache, |engine, cache, case| {
-                fetch.detect_cached(&case.binary, engine, cache)
+                cache.get_or_compute(content_fingerprint(&case.binary), &id, || {
+                    fetch.run_with_engine(&case.binary, engine)
+                })
             })
         };
         let bounded1 = bounded_sweep(&driver);
@@ -684,11 +696,11 @@ fn main() {
             .find_map(|s| patch_function(&case, s, PatchKind::Neutral))
             .expect("large corpus offers a neutral patch site");
 
-        let fetch = Fetch::new();
+        let fetch = Pipeline::fetch();
         let image_of =
             |b: &fetch_binary::Binary| ElfImage::parse(write_elf(b)).expect("own ELF parses");
         let old_image = image_of(&case.binary);
-        let prev = std::sync::Arc::new(fetch.detect_image(&old_image, &mut RecEngine::new()));
+        let prev = std::sync::Arc::new(fetch.run(&old_image.to_binary()));
         let prev_digest =
             ImageDigest::compute(&old_image.to_binary(), image_fingerprint(&old_image));
 
@@ -705,7 +717,7 @@ fn main() {
         for _ in 0..delta_reps {
             let mut engine = RecEngine::new();
             let t = Instant::now();
-            let r = fetch.detect_image(&neutral_image, &mut engine);
+            let r = fetch.run_with_engine(&neutral_image.to_binary(), &mut engine);
             cold_lat.push(t.elapsed().as_secs_f64() * 1e6);
             cold_result = Some(r);
         }
@@ -718,8 +730,16 @@ fn main() {
         let mut sections_reused = 0usize;
         for _ in 0..delta_reps {
             let t = Instant::now();
-            let (out, _digest) =
-                fetch.detect_delta(&prev, Some(&prev_digest), &neutral_image, &mut engine);
+            let binary = neutral_image.to_binary();
+            let digest = ImageDigest::compute(&binary, image_fingerprint(&neutral_image));
+            let out = run_delta(
+                &fetch,
+                &prev,
+                Some(&prev_digest),
+                &binary,
+                &digest,
+                &mut engine,
+            );
             delta_lat.push(t.elapsed().as_secs_f64() * 1e6);
             assert_eq!(
                 out.class,
@@ -876,7 +896,7 @@ fn main() {
         for _ in 0..reps {
             let t = Instant::now();
             results = driver.run(&cases, |engine, case| {
-                Fetch::new().detect_with_engine(&case.binary, engine)
+                Pipeline::fetch().run_with_engine(&case.binary, engine)
             });
             best = best.min(t.elapsed().as_secs_f64() * 1e3);
         }

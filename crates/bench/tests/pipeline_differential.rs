@@ -3,22 +3,21 @@
 //!
 //! Before the `Pipeline` subsystem, every Table III tool model was an
 //! imperative `run_stack_cached` call over a hardcoded `&[&dyn Strategy]`
-//! slice, and `Fetch` sequenced its four layers by hand. This suite
-//! re-states those stacks literally (the golden side) and pins
-//! [`Pipeline::for_tool`] / [`Fetch`] to them over the determinism
+//! slice, and the FETCH detector sequenced its four layers by hand. This
+//! suite re-states those stacks literally (the golden side) and pins
+//! [`Tool::run`] / [`Pipeline::fetch`] to them over the determinism
 //! corpus: identical starts, provenance, layer order, and deterministic
 //! trace deltas, for every tool, with shared and fresh engines.
 
 use fetch_bench::{dataset2, BenchOpts};
 use fetch_core::{
     run_stack, run_stack_cached, AlignmentSplit, ByteWeight, CallFrameRepair, ControlFlowRepair,
-    DetectionResult, EntrySeed, FdeSeeds, Fetch, FlirtSignatures, FunctionMerge, LinearScanStarts,
-    NucleusScan, PointerScan, PrologueMatch, SafeRecursion, Strategy, TailCallHeuristic,
-    ThunkHeuristic, Tool, ToolStyle,
+    DetectionResult, DetectionState, EntrySeed, FdeSeeds, FlirtSignatures, FunctionMerge,
+    LinearScanStarts, NucleusScan, Pipeline, PointerScan, PrologueMatch, SafeRecursion, Strategy,
+    TailCallHeuristic, ThunkHeuristic, Tool, ToolStyle,
 };
 use fetch_disasm::RecEngine;
 use fetch_synth::corpus::CorpusScale;
-use fetch_tools::{angr_rejects, run_tool_with_engine};
 
 /// The same corpus shape the batch-determinism suite sweeps.
 fn determinism_corpus() -> Vec<fetch_binary::TestCase> {
@@ -33,7 +32,7 @@ fn determinism_corpus() -> Vec<fetch_binary::TestCase> {
 }
 
 /// The pre-refactor tool stacks, verbatim: each is the `&[&dyn Strategy]`
-/// slice the old `fetch-tools` builders assembled imperatively.
+/// slice the old tool-model builders assembled imperatively.
 fn legacy_stack(tool: Tool) -> Vec<Box<dyn Strategy>> {
     match tool {
         Tool::Dyninst => vec![
@@ -102,7 +101,7 @@ fn legacy_stack(tool: Tool) -> Vec<Box<dyn Strategy>> {
 }
 
 fn run_legacy(tool: Tool, binary: &fetch_binary::Binary) -> Option<DetectionResult> {
-    if tool == Tool::Angr && angr_rejects(binary) {
+    if tool.fails_to_open(&binary.name) {
         return None;
     }
     let stack = legacy_stack(tool);
@@ -135,7 +134,7 @@ fn for_tool_pipelines_match_pre_refactor_stacks() {
         // production configuration of the batch driver.
         let mut engine = RecEngine::new();
         for case in &cases {
-            let declarative = run_tool_with_engine(tool, &case.binary, &mut engine);
+            let declarative = tool.run(&case.binary, &mut engine);
             let legacy = run_legacy(tool, &case.binary);
             match (declarative, legacy) {
                 (Some(d), Some(l)) => {
@@ -155,41 +154,48 @@ fn for_tool_pipelines_match_pre_refactor_stacks() {
 
 #[test]
 fn fetch_entry_points_match_pre_refactor_sequence() {
-    // All `Fetch::detect*` entry points are now one executor path; each
-    // must still equal the old hand-sequenced pipeline, including the
-    // ablation-knob variants (which drop layers, not reorder them).
+    // The FETCH pipeline — run fresh, on a shared engine, and with the
+    // repair report taken off the state — must still equal the old
+    // hand-sequenced pipeline, including the ablation variants (which
+    // drop layers, not reorder them).
     let cases = determinism_corpus();
     let case = &cases[cases.len() / 2];
     let mut engine = RecEngine::new();
-    for (skip_scan, skip_repair) in [(false, false), (true, false), (false, true), (true, true)] {
-        let fetch = Fetch {
-            skip_pointer_scan: skip_scan,
-            skip_repair,
-        };
+    for (no_scan, no_repair) in [(false, false), (true, false), (false, true), (true, true)] {
+        let fetch = Pipeline::parse(&format!(
+            "FDE+Rec{}{}",
+            if no_scan { "" } else { "+Xref" },
+            if no_repair { "" } else { "+TcallFix" }
+        ))
+        .unwrap();
         let mut legacy_layers: Vec<&dyn Strategy> = vec![&FdeSeeds];
         let rec = SafeRecursion::default();
         legacy_layers.push(&rec);
-        if !skip_scan {
+        if !no_scan {
             legacy_layers.push(&PointerScan);
         }
         let repair = CallFrameRepair::default();
-        if !skip_repair {
+        if !no_repair {
             legacy_layers.push(&repair);
         }
         let legacy = run_stack_cached(&case.binary, &legacy_layers, &mut engine);
         assert_identical(
-            &fetch.detect(&case.binary),
+            &fetch.run(&case.binary),
             &legacy,
-            &format!("detect (skip_scan={skip_scan}, skip_repair={skip_repair})"),
+            &format!("run (no_scan={no_scan}, no_repair={no_repair})"),
         );
         assert_identical(
-            &fetch.detect_with_engine(&case.binary, &mut engine),
+            &fetch.run_with_engine(&case.binary, &mut engine),
             &legacy,
-            "detect_with_engine",
+            "run_with_engine",
         );
-        let (with_report, report) = fetch.detect_with_report_engine(&case.binary, &mut engine);
-        assert_identical(&with_report, &legacy, "detect_with_report_engine");
-        if skip_repair {
+        let mut state = DetectionState::with_engine(&case.binary, std::mem::take(&mut engine));
+        fetch.apply(&mut state);
+        let report = state.take_repair_report().unwrap_or_default();
+        let (with_report, used) = state.into_result_with_engine();
+        engine = used;
+        assert_identical(&with_report, &legacy, "apply + take_repair_report");
+        if no_repair {
             // No repair layer ran: the report must be the empty default.
             assert!(report.merged.is_empty() && report.tail_calls.is_empty());
             assert!(report.bad_fdes_removed.is_empty());

@@ -15,9 +15,8 @@
 //!    joins — no deadlock, no poisoned output.
 
 use fetch_bench::BatchDriver;
-use fetch_core::DetectionResult;
+use fetch_core::{DetectionResult, Tool};
 use fetch_synth::{synthesize, FeatureRates, SynthConfig};
-use fetch_tools::{run_tool_with_engine, Tool};
 use proptest::prelude::*;
 
 /// A random small corpus: seeds and sizes vary, synthesis is
@@ -70,7 +69,7 @@ proptest! {
             driver.run(&cases, |engine, case| {
                 tools
                     .iter()
-                    .map(|&tool| run_tool_with_engine(tool, &case.binary, engine))
+                    .map(|&tool| tool.run(&case.binary, engine))
                     .collect()
             })
         };

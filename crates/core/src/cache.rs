@@ -8,10 +8,9 @@
 //! `Arc<DetectionResult>` behind an internal mutex, so one cache is
 //! shared by every worker of a batch sweep ([`BatchDriver::run_with_cache`]
 //! in `fetch-bench`) and every cached entry is handed out without
-//! copying. Entry points: [`crate::Fetch::detect_cached`],
-//! [`crate::Fetch::detect_image_cached`],
-//! `fetch_tools::run_tool_on_image_cached`, and the `fetch-serve`
-//! daemon.
+//! copying. Callers wrap [`crate::Pipeline::run_with_engine`] in
+//! [`AnalysisCache::get_or_compute`] at the call site, as the bench
+//! harnesses and the `fetch-serve` daemon do.
 //!
 //! Keys are 64-bit FNV-1a content fingerprints ([`content_fingerprint`]
 //! over a materialized [`Binary`], [`image_fingerprint`] over a raw ELF
@@ -113,8 +112,8 @@ pub fn content_fingerprint(binary: &Binary) -> u64 {
 }
 
 /// 64-bit fingerprint of a raw ELF image buffer — one linear pass, no
-/// section walk, so image-path lookups ([`crate::Fetch::detect_image_cached`])
-/// skip materialization entirely on a hit. Domain-separated from
+/// section walk, so image-path lookups skip materializing the image
+/// into a [`Binary`] entirely on a hit. Domain-separated from
 /// [`content_fingerprint`]; the two key different entries for the same
 /// underlying binary (a missed dedup opportunity, never a wrong answer).
 pub fn image_fingerprint(image: &fetch_binary::ElfImage) -> u64 {

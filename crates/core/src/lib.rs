@@ -16,7 +16,42 @@
 //! [`LinearScanStarts`] (`Scan`), [`ControlFlowRepair`] (`CFR`),
 //! [`FunctionMerge`] (`Fmerg`), [`ThunkHeuristic`], [`AlignmentSplit`].
 //!
-//! The [`Fetch`] type wires the optimal stack together.
+//! [`Pipeline::fetch`] is the optimal stack.
+//!
+//! ## Running a detector
+//!
+//! There are five ways, all over one executor:
+//!
+//! * [`Pipeline::run`] and [`Pipeline::run_with_engine`] run any stack
+//!   held as data — FETCH, a tool model, an ablation such as
+//!   `Pipeline::parse("FDE+Rec+Xref")`;
+//! * [`Tool::run`] runs one of the nine Table III tool models, or
+//!   returns `None` when the modeled tool fails to open the binary
+//!   ([`Tool::fails_to_open`]);
+//! * [`run_stack`] and [`run_stack_cached`] run a slice of custom
+//!   `&dyn Strategy` layers (the reference path the differential suites
+//!   compare the pipelines against).
+//!
+//! Caching, delta re-analysis and the repair report compose at the call
+//! site from the pieces below ([`AnalysisCache::get_or_compute`],
+//! [`run_delta`], [`DetectionState::take_repair_report`]).
+//!
+//! The nine tool models ([`Pipeline::for_tool`], listed by
+//! [`Pipeline::id`]) aim at the paper's *shape* — who wins on false
+//! positives and negatives, by roughly what order of magnitude — not
+//! bug-for-bug tool emulation:
+//!
+//! | Tool | Stack |
+//! |---|---|
+//! | DYNINST | `Entry+Rec+Fsig.radare+Fsig.angr` |
+//! | BAP | `Entry+ByteWeight` |
+//! | RADARE2 | `Entry+Rec+Fsig.radare` |
+//! | NUCLEUS | `Entry+Nucleus` |
+//! | IDA PRO | `Entry+Rec+Flirt` |
+//! | BINARY NINJA | `Entry+Rec+Tcall.ghidra+Fsig.angr+Align` |
+//! | GHIDRA | `FDE+Rec+CFR+Thunk+Fsig.ghidra` |
+//! | ANGR | `FDE+Rec+Fmerg+Fsig.angr+Scan+Align` |
+//! | FETCH | `FDE+Rec+Xref+TcallFix` |
 //!
 //! ## The shared substrate (what layers run *on*)
 //!
@@ -46,12 +81,12 @@
 //! re-runs ([`DetectionState::new_reference`]); a property test over
 //! random corpora and random layer stacks enforces the equivalence.
 //!
-//! The engine can also outlive a single state: [`run_stack_cached`] and
-//! [`Fetch::detect_with_engine`] thread a caller-owned
+//! The engine can also outlive a single state: [`run_stack_cached`],
+//! [`Pipeline::run_with_engine`] and [`Tool::run`] thread a caller-owned
 //! [`fetch_disasm::RecEngine`] through the run, so several stacks (e.g.
-//! all nine tool models of `fetch-tools`) analysing the same binary share
-//! one decode cache. A second property test proves sharing an engine
-//! across different stacks changes no result.
+//! all nine tool models) analysing the same binary share one decode
+//! cache. A second property test proves sharing an engine across
+//! different stacks changes no result.
 //!
 //! ## Pipelines: spec → executor → trace → cache
 //!
@@ -66,10 +101,10 @@
 //!    stacks as declarative data.
 //! 2. **Executor** — [`Pipeline::apply`] instantiates each spec's
 //!    strategy and runs it through the one traced step,
-//!    [`DetectionState::apply_layer`]. Every entry point (`Fetch`
-//!    detectors, tool models, ad-hoc [`run_stack`] slices) funnels
-//!    through that step, so layer names in
-//!    [`DetectionResult::layers`] can never drift from what ran.
+//!    [`DetectionState::apply_layer`]. Every entry point (pipelines,
+//!    tool models, ad-hoc [`run_stack`] slices) funnels through that
+//!    step, so layer names in [`DetectionResult::layers`] can never
+//!    drift from what ran.
 //! 3. **Trace** — the executor records a [`LayerTrace`] per layer (wall
 //!    time, exact start delta with provenance, decode-cache work) into
 //!    [`DetectionResult::trace`]. Traces replay:
@@ -78,8 +113,10 @@
 //!    instead of re-running shared prefixes.
 //! 4. **Cache** — [`AnalysisCache`] memoizes `Arc<DetectionResult>`
 //!    under `(binary content fingerprint, pipeline id)`; re-analyzing a
-//!    seen binary under a seen pipeline is a lookup
-//!    ([`Fetch::detect_image_cached`], [`Fetch::detect_cached`]).
+//!    seen binary under a seen pipeline is a lookup. Callers wrap
+//!    [`Pipeline::run_with_engine`] in [`AnalysisCache::get_or_compute`]
+//!    keyed by [`image_fingerprint`] or [`content_fingerprint`], so an
+//!    image is materialized and analyzed only on a miss.
 //!
 //! ## Serving: spec → executor → trace → bounded cache → persistent store → daemon
 //!
@@ -207,7 +244,7 @@
 //!    `tests/proptest_delta.rs`).
 //!
 //! ```
-//! use fetch_core::{DeltaClass, Fetch, ImageDigest};
+//! use fetch_core::{image_fingerprint, run_delta, DeltaClass, ImageDigest, Pipeline};
 //! use fetch_binary::{write_elf, ElfImage};
 //! use fetch_disasm::RecEngine;
 //! use fetch_synth::{patch_function, synthesize, PatchKind, SynthConfig};
@@ -216,21 +253,21 @@
 //! // Version 1: analyze cold, keep the result and its digest.
 //! let case = synthesize(&SynthConfig::small(11));
 //! let mut engine = RecEngine::new();
-//! let fetch = Fetch::new();
-//! let v1_image = ElfImage::parse(write_elf(&case.binary)).unwrap();
-//! let v1 = Arc::new(fetch.detect_image(&v1_image, &mut engine));
+//! let fetch = Pipeline::fetch();
+//! let v1 = Arc::new(fetch.run_with_engine(&case.binary, &mut engine));
 //! let v1_digest = ImageDigest::compute(&case.binary, 0);
 //!
 //! // Version 2: one function's constant changed (a neutral patch).
 //! let patched = patch_function(&case, 7, PatchKind::Neutral).unwrap();
 //! let v2_image = ElfImage::parse(write_elf(&patched.binary)).unwrap();
+//! let v2 = v2_image.to_binary();
+//! let v2_digest = ImageDigest::compute(&v2, image_fingerprint(&v2_image));
 //!
 //! // Delta answers from the old result without re-running a layer...
-//! let (out, _v2_digest) =
-//!     fetch.detect_delta(&v1, Some(&v1_digest), &v2_image, &mut engine);
+//! let out = run_delta(&fetch, &v1, Some(&v1_digest), &v2, &v2_digest, &mut engine);
 //! assert_eq!(out.class, DeltaClass::SectionReuse);
 //! // ...and is byte-identical to a cold run on the new version.
-//! assert_eq!(*out.result, fetch.detect(&patched.binary));
+//! assert_eq!(*out.result, fetch.run(&patched.binary));
 //! ```
 //!
 //! # Examples
@@ -275,7 +312,6 @@
 mod algorithm1;
 mod cache;
 mod delta;
-mod fetch;
 mod heuristics;
 mod pipeline;
 mod pointer_scan;
@@ -289,7 +325,6 @@ pub use cache::{
     CacheCapacity, CacheStats, DigestDiff, Flight, FlightGuard, ImageDigest, SectionDigest,
 };
 pub use delta::{run_delta, DeltaClass, DeltaOutcome};
-pub use fetch::Fetch;
 pub use heuristics::{
     code_gaps, AlignmentSplit, ByteWeight, ControlFlowRepair, FlirtSignatures, FunctionMerge,
     LinearScanStarts, NucleusScan, PrologueMatch, TailCallHeuristic, ThunkHeuristic, ToolStyle,

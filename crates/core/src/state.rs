@@ -573,8 +573,8 @@ impl<'b> DetectionState<'b> {
     /// The one traced executor step: applies `layer`, then records its
     /// name and a [`LayerTrace`] (wall time, exact start delta with
     /// provenance, decode-cache work) in lockstep. Every pipeline path —
-    /// [`crate::Pipeline::apply`], [`crate::run_stack_cached`], the
-    /// `Fetch` entry points — funnels through here, so
+    /// [`crate::Pipeline::apply`], [`crate::run_stack_cached`],
+    /// [`crate::Tool::run`] — funnels through here, so
     /// [`DetectionResult::layers`] can never skip or double-count a
     /// layer the way hand-pushed names could.
     pub fn apply_layer(&mut self, layer: &dyn crate::strategy::Strategy) {

@@ -21,9 +21,7 @@
 //! the *old* version (the pooled-engine shape the serving layer uses).
 
 use fetch_binary::{write_elf, Binary, ElfImage};
-use fetch_core::{
-    image_fingerprint, run_delta, DeltaClass, Fetch, ImageDigest, Pipeline, KNOWN_LAYERS,
-};
+use fetch_core::{image_fingerprint, run_delta, DeltaClass, ImageDigest, Pipeline, KNOWN_LAYERS};
 use fetch_disasm::RecEngine;
 use fetch_synth::{
     patch_function, synthesize, FeatureRates, FunctionPatch, PatchKind, SynthConfig,
@@ -185,12 +183,12 @@ proptest! {
     }
 }
 
-/// A version chain through [`Fetch::detect_delta`] with one shared
+/// A version chain of FETCH runs through [`run_delta`] with one shared
 /// (pooled) engine: v0 → neutral v1 → back to v0 → behavioral v2 →
-/// resized v3. Each hop's answer must equal a fresh-engine cold
-/// [`Fetch::detect_image`] of that version, and each hop's returned
-/// digest is what the next hop deltas against — the exact contract the
-/// serving layer's `reanalyze` path depends on.
+/// resized v3. Each hop's answer must equal a fresh-engine cold run on
+/// that version's image, and each hop's digest is what the next hop
+/// deltas against — the exact contract the serving layer's `reanalyze`
+/// path depends on.
 #[test]
 fn fetch_delta_chain_matches_cold_at_every_version() {
     let case = synthesize(&SynthConfig::small(11));
@@ -200,13 +198,13 @@ fn fetch_delta_chain_matches_cold_at_every_version() {
         .find_map(|s| patch_function(&case, s, PatchKind::Resize))
         .expect("resize site");
 
-    let fetch = Fetch::new();
+    let fetch = Pipeline::fetch();
     let image_of = |b: &Binary| ElfImage::parse(write_elf(b)).unwrap();
-    let cold_of = |b: &Binary| fetch.detect_image(&image_of(b), &mut RecEngine::new());
+    let cold_of = |b: &Binary| fetch.run(&image_of(b).to_binary());
 
     let mut engine = RecEngine::new();
     let v0_image = image_of(&case.binary);
-    let mut prev = Arc::new(fetch.detect_image(&v0_image, &mut engine));
+    let mut prev = Arc::new(fetch.run_with_engine(&v0_image.to_binary(), &mut engine));
     let mut prev_digest = ImageDigest::compute(&case.binary, image_fingerprint(&v0_image));
 
     let hops = [
@@ -216,8 +214,17 @@ fn fetch_delta_chain_matches_cold_at_every_version() {
         (&v3.binary, DeltaClass::Cold),
     ];
     for (version, expected) in hops {
-        let (out, digest) =
-            fetch.detect_delta(&prev, Some(&prev_digest), &image_of(version), &mut engine);
+        let image = image_of(version);
+        let binary = image.to_binary();
+        let digest = ImageDigest::compute(&binary, image_fingerprint(&image));
+        let out = run_delta(
+            &fetch,
+            &prev,
+            Some(&prev_digest),
+            &binary,
+            &digest,
+            &mut engine,
+        );
         assert_eq!(out.class, expected, "wrong tier at {version:p}");
         assert_eq!(
             *out.result,

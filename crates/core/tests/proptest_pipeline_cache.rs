@@ -148,23 +148,30 @@ proptest! {
         );
     }
 
-    /// Image-path serving: `detect_image_cached` equals the uncached
-    /// image path and the owned-binary path, and repeated queries are
-    /// all hits handing back the same entry.
+    /// Image-path serving: a cached FETCH run keyed by the image
+    /// fingerprint equals the uncached image path and the owned-binary
+    /// path, and repeated queries are all hits handing back the same
+    /// entry.
     #[test]
     fn cached_image_detection_equals_cold(cfg in arb_config(), repeats in 1usize..4) {
         use fetch_binary::{write_elf, ElfImage};
         let case = synthesize(&cfg);
         let image = ElfImage::parse(write_elf(&case.binary)).unwrap();
-        let fetch = fetch_core::Fetch::new();
+        let fetch = Pipeline::fetch();
+        let id = fetch.id();
         let cache = AnalysisCache::new();
         let mut engine = fetch_disasm::RecEngine::new();
+        let cached = |engine: &mut fetch_disasm::RecEngine| {
+            cache.get_or_compute(fetch_core::image_fingerprint(&image), &id, || {
+                fetch.run_with_engine(&image.to_binary(), engine)
+            })
+        };
 
-        let first = fetch.detect_image_cached(&image, &mut engine, &cache);
-        let cold = fetch.detect_image(&image, &mut engine);
+        let first = cached(&mut engine);
+        let cold = fetch.run_with_engine(&image.to_binary(), &mut engine);
         prop_assert_eq!(&*first, &cold, "cached image path diverged");
         for _ in 0..repeats {
-            let again = fetch.detect_image_cached(&image, &mut engine, &cache);
+            let again = cached(&mut engine);
             prop_assert!(
                 std::sync::Arc::ptr_eq(&first, &again),
                 "repeat query must be served from the cache"

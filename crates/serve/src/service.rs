@@ -53,7 +53,7 @@ use crate::protocol::{
     Request, RequestCounters, ServeSource, StatsReply,
 };
 use crate::store::{GcPolicy, ResultStore};
-use fetch_binary::ElfImage;
+use fetch_binary::{Binary, ElfImage};
 use fetch_core::{
     image_fingerprint, run_delta, AnalysisCache, CacheCapacity, DeltaClass, DetectionResult,
     Flight, ImageDigest, Pipeline,
@@ -626,24 +626,26 @@ impl AnalysisService {
         }
     }
 
-    /// Pops a pool engine (or makes a fresh one).
-    fn borrow_engine(&self) -> RecEngine {
-        self.engines
+    /// Runs `f` on an engine popped from the pool (or a fresh one),
+    /// then returns the engine to the pool.
+    fn with_engine<R>(&self, f: impl FnOnce(&mut RecEngine) -> R) -> R {
+        let mut engine = self
+            .engines
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .pop()
-            .unwrap_or_default()
-    }
-
-    /// Runs the pipeline on a borrowed pool engine.
-    fn compute(&self, pipeline: &Pipeline, image: &ElfImage) -> fetch_core::DetectionResult {
-        let mut engine = self.borrow_engine();
-        let result = pipeline.run_with_engine(&image.to_binary(), &mut engine);
+            .unwrap_or_default();
+        let out = f(&mut engine);
         self.engines
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .push(engine);
-        result
+        out
+    }
+
+    /// Runs the pipeline on a pooled engine.
+    fn compute(&self, pipeline: &Pipeline, binary: &Binary) -> DetectionResult {
+        self.with_engine(|engine| pipeline.run_with_engine(binary, engine))
     }
 
     /// Reads and parses a request's ELF image (shared by `analyze` and
@@ -761,7 +763,8 @@ impl AnalysisService {
                         ));
                     }
                     self.counters.cold.fetch_add(1, Ordering::Relaxed);
-                    let result = Arc::new(self.compute(pipeline, &image));
+                    let binary = image.to_binary();
+                    let result = Arc::new(self.compute(pipeline, &binary));
                     // Publish to cache and waiters first; digest + disk
                     // after, so coalesced repliers never block on them.
                     let result = guard.complete(result);
@@ -769,7 +772,7 @@ impl AnalysisService {
                         .coalesce_leader_us
                         .record(t_join.elapsed().as_micros() as u64);
                     self.obs.record_layer_walls(&result);
-                    let digest = Arc::new(ImageDigest::compute(&image.to_binary(), fingerprint));
+                    let digest = Arc::new(ImageDigest::compute(&binary, fingerprint));
                     let result =
                         self.publish_digest(req_id, fingerprint, &pipeline_id, result, digest);
                     return Ok(AnalyzeReply {
@@ -863,30 +866,27 @@ impl AnalysisService {
 
         let binary = image.to_binary();
         let new_digest = ImageDigest::compute(&binary, fingerprint);
-        let mut engine = self.borrow_engine();
         let (result, class, sections_reused) = match &prev {
             Some((prev_result, prev_digest)) => {
-                let out = run_delta(
-                    pipeline,
-                    prev_result,
-                    prev_digest.as_deref(),
-                    &binary,
-                    &new_digest,
-                    &mut engine,
-                );
+                let out = self.with_engine(|engine| {
+                    run_delta(
+                        pipeline,
+                        prev_result,
+                        prev_digest.as_deref(),
+                        &binary,
+                        &new_digest,
+                        engine,
+                    )
+                });
                 (out.result, out.class, out.sections_reused)
             }
             // Unknown predecessor: nothing to delta against.
             None => (
-                Arc::new(pipeline.run_with_engine(&binary, &mut engine)),
+                Arc::new(self.compute(pipeline, &binary)),
                 DeltaClass::Cold,
                 0,
             ),
         };
-        self.engines
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .push(engine);
 
         self.counters
             .sections_reused

@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use fetch_core::Fetch;
+use fetch_core::{DetectionState, Pipeline};
 use fetch_metrics::evaluate;
 use fetch_synth::{synthesize, SynthConfig};
 
@@ -24,8 +24,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let eh = case.binary.eh_frame()?;
     println!("FDEs in .eh_frame: {}", eh.fde_count());
 
-    // 3. Run the full FETCH pipeline: FDE → Rec → Xref → TcallFix.
-    let (result, report) = Fetch::new().detect_with_report(&case.binary);
+    // 3. Run the full FETCH pipeline: FDE → Rec → Xref → TcallFix. The
+    //    repair layer leaves its report on the state as it runs.
+    let mut state = DetectionState::new(&case.binary);
+    Pipeline::fetch().apply(&mut state);
+    let report = state.take_repair_report().unwrap_or_default();
+    let result = state.into_result();
     println!(
         "\ndetected {} function starts via layers {:?}",
         result.len(),

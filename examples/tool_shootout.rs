@@ -5,9 +5,10 @@
 //! cargo run --example tool_shootout
 //! ```
 
+use fetch_core::Tool;
+use fetch_disasm::RecEngine;
 use fetch_metrics::{evaluate, TextTable};
 use fetch_synth::{synthesize, SynthConfig};
-use fetch_tools::{run_tool, Tool};
 
 fn main() {
     let mut cfg = SynthConfig::small(1337);
@@ -25,7 +26,7 @@ fn main() {
 
     let mut table = TextTable::new(["Tool", "Detected", "FP", "FN", "Precision %", "Recall %"]);
     for tool in Tool::ALL {
-        match run_tool(tool, &case.binary) {
+        match tool.run(&case.binary, &mut RecEngine::new()) {
             Some(result) => {
                 let e = evaluate(&result.start_set(), &case);
                 table.row([

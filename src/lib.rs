@@ -11,18 +11,18 @@
 //! * [`synth`] — the synthetic-corpus compiler simulator
 //! * [`disasm`] — safe recursive disassembly and linear sweep
 //! * [`analyses`] — calling-convention, stack-height and ROP analyses
-//! * [`core`] — the FETCH detector and the strategy framework
-//! * [`tools`] — models of the eight comparison tools
+//! * [`core`] — the FETCH detector, the strategy framework and the
+//!   models of the eight comparison tools
 //! * [`metrics`] — ground-truth scoring and table rendering
 //!
 //! # Examples
 //!
 //! ```
-//! use fetch::core::Fetch;
+//! use fetch::core::Pipeline;
 //! use fetch::synth::{synthesize, SynthConfig};
 //!
 //! let case = synthesize(&SynthConfig::small(1));
-//! let result = Fetch::new().detect(&case.binary);
+//! let result = Pipeline::fetch().run(&case.binary);
 //! assert!(!result.is_empty());
 //! ```
 
@@ -36,5 +36,4 @@ pub use fetch_disasm as disasm;
 pub use fetch_ehframe as ehframe;
 pub use fetch_metrics as metrics;
 pub use fetch_synth as synth;
-pub use fetch_tools as tools;
 pub use fetch_x64 as x64;

@@ -2,10 +2,10 @@
 //! corpus configurations, exercising every crate together.
 
 use fetch::binary::{read_elf, write_elf, FuncKind, Reach, TestCase};
-use fetch::core::{run_stack, FdeSeeds, Fetch, SafeRecursion};
+use fetch::core::{run_stack, FdeSeeds, Pipeline, SafeRecursion, Tool};
+use fetch::disasm::RecEngine;
 use fetch::metrics::{evaluate, Aggregate};
 use fetch::synth::{synthesize, FeatureRates, SynthConfig};
-use fetch::tools::{run_tool, Tool};
 
 fn rich_case(seed: u64) -> TestCase {
     let mut cfg = SynthConfig::small(seed);
@@ -26,7 +26,7 @@ fn fetch_on_rich_corpora_meets_paper_shape() {
     let mut agg = Aggregate::new();
     for seed in [11u64, 22, 33, 44, 55] {
         let case = rich_case(seed);
-        let result = Fetch::new().detect(&case.binary);
+        let result = Pipeline::fetch().run(&case.binary);
         let e = evaluate(&result.start_set(), &case);
         // Near-full recall and precision on every binary.
         assert!(e.recall() > 0.93, "seed {seed}: recall {:.3}", e.recall());
@@ -45,7 +45,7 @@ fn fetch_on_rich_corpora_meets_paper_shape() {
 fn misses_are_only_harmless_classes() {
     for seed in [66u64, 77] {
         let case = rich_case(seed);
-        let result = Fetch::new().detect(&case.binary);
+        let result = Pipeline::fetch().run(&case.binary);
         let truth = case.truth.starts();
         let found = result.start_set();
         for missed in truth.difference(&found) {
@@ -70,7 +70,7 @@ fn misses_are_only_harmless_classes() {
 fn false_positives_are_only_residual_cold_parts() {
     for seed in [88u64, 99] {
         let case = rich_case(seed);
-        let result = Fetch::new().detect(&case.binary);
+        let result = Pipeline::fetch().run(&case.binary);
         let truth = case.truth.starts();
         let parts = case.truth.part_starts();
         for fp in result.start_set().difference(&truth) {
@@ -84,8 +84,8 @@ fn false_positives_are_only_residual_cold_parts() {
 #[test]
 fn detection_is_deterministic() {
     let case = rich_case(123);
-    let a = Fetch::new().detect(&case.binary);
-    let b = Fetch::new().detect(&case.binary);
+    let a = Pipeline::fetch().run(&case.binary);
+    let b = Pipeline::fetch().run(&case.binary);
     assert_eq!(a, b);
 }
 
@@ -96,8 +96,8 @@ fn detection_survives_elf_round_trip() {
     let case = rich_case(321);
     let elf_bytes = write_elf(&case.binary);
     let reloaded = read_elf(&elf_bytes).expect("own ELF parses");
-    let direct = Fetch::new().detect(&case.binary);
-    let via_elf = Fetch::new().detect(&reloaded);
+    let direct = Pipeline::fetch().run(&case.binary);
+    let via_elf = Pipeline::fetch().run(&reloaded);
     assert_eq!(direct.start_set(), via_elf.start_set());
 
     // The zero-copy image path sees the same world too, with every
@@ -108,7 +108,7 @@ fn detection_survives_elf_round_trip() {
     for pair in viewed.sections.windows(2) {
         assert!(pair[0].shares_image(&pair[1]), "one backing buffer");
     }
-    let via_image = Fetch::new().detect_image(&image, &mut fetch::disasm::RecEngine::new());
+    let via_image = Pipeline::fetch().run(&viewed);
     assert_eq!(direct.start_set(), via_image.start_set());
 }
 
@@ -117,8 +117,8 @@ fn stripping_symbols_barely_affects_fetch() {
     // FETCH is FDE-driven: removing the symbol table must not change
     // detection except through the error()-name knowledge.
     let case = rich_case(456);
-    let full = Fetch::new().detect(&case.binary);
-    let stripped = Fetch::new().detect(&case.binary.stripped());
+    let full = Pipeline::fetch().run(&case.binary);
+    let stripped = Pipeline::fetch().run(&case.binary.stripped());
     let d1 = full.start_set();
     let d2 = stripped.start_set();
     let sym_only: Vec<_> = d1.symmetric_difference(&d2).collect();
@@ -151,8 +151,8 @@ fn safe_recursion_never_invents_starts() {
 fn every_tool_is_deterministic_and_total() {
     let case = rich_case(777);
     for tool in Tool::ALL {
-        let a = run_tool(tool, &case.binary);
-        let b = run_tool(tool, &case.binary);
+        let a = tool.run(&case.binary, &mut RecEngine::new());
+        let b = tool.run(&case.binary, &mut RecEngine::new());
         assert_eq!(a.is_some(), b.is_some(), "{tool} determinism");
         if let (Some(a), Some(b)) = (a, b) {
             assert_eq!(a.start_set(), b.start_set(), "{tool} determinism");
