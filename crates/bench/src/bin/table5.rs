@@ -2,8 +2,7 @@
 //!
 //! Absolute numbers are not comparable with the paper (our substrate is a
 //! simulator and the models are lightweight); the per-tool *relative*
-//! cost ordering is the reproduced shape. `cargo bench` (criterion
-//! `tool_timing`) provides statistically robust versions of these points.
+//! cost ordering is the reproduced shape.
 
 use fetch_bench::{banner, dataset2, opts_from_args, paper};
 use fetch_core::Tool;

@@ -931,33 +931,6 @@ impl AnalysisCache {
         })
     }
 
-    /// [`get_or_compute`](AnalysisCache::get_or_compute) with request
-    /// coalescing: concurrent callers for one uncached key run exactly
-    /// one `compute` between them (the others wait and share the
-    /// leader's result) instead of racing to compute redundantly.
-    pub fn get_or_compute_coalesced(
-        &self,
-        fingerprint: u64,
-        pipeline_id: &str,
-        compute: impl FnOnce() -> DetectionResult,
-    ) -> Arc<DetectionResult> {
-        if let Some(hit) = self.lookup(fingerprint, pipeline_id) {
-            return hit;
-        }
-        let mut compute = Some(compute);
-        loop {
-            match self.join_flight(fingerprint, pipeline_id) {
-                Flight::Hit(r) | Flight::Waited(Some(r)) => return r,
-                Flight::Leader(guard) => {
-                    let compute = compute.take().expect("leader resolves the loop");
-                    return guard.complete(Arc::new(compute()));
-                }
-                // The leader aborted; rejoin (possibly as leader).
-                Flight::Waited(None) => continue,
-            }
-        }
-    }
-
     /// Evicts least-recently-used entries until the cache fits its
     /// capacity again. The newest entry holds the highest tick, so it
     /// is evicted last — but *is* evicted when it alone exceeds the
@@ -1149,50 +1122,6 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_flights_run_exactly_one_compute() {
-        use std::sync::atomic::AtomicUsize;
-        let case = synthesize(&SynthConfig::small(38));
-        let pipeline = Pipeline::fetch();
-        let fp = content_fingerprint(&case.binary);
-        let id = pipeline.id();
-        let cache = AnalysisCache::new();
-        let computes = AtomicUsize::new(0);
-        let barrier = std::sync::Barrier::new(8);
-        let results: Vec<Arc<DetectionResult>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..8)
-                .map(|_| {
-                    scope.spawn(|| {
-                        barrier.wait();
-                        cache.get_or_compute_coalesced(fp, &id, || {
-                            computes.fetch_add(1, Ordering::SeqCst);
-                            pipeline.run(&case.binary)
-                        })
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        assert_eq!(
-            computes.load(Ordering::SeqCst),
-            1,
-            "coalescing must collapse concurrent computes to one"
-        );
-        for r in &results {
-            assert!(Arc::ptr_eq(r, &results[0]), "all callers share one Arc");
-        }
-        let stats = cache.stats();
-        assert_eq!(
-            stats.hits + stats.misses,
-            8,
-            "one counted lookup per caller"
-        );
-        assert!(
-            stats.coalesced < 8,
-            "at most 7 callers can wait on the one leader"
-        );
-    }
-
-    #[test]
     fn aborted_flight_hands_leadership_over() {
         let case = synthesize(&SynthConfig::small(39));
         let pipeline = Pipeline::parse("FDE").unwrap();
@@ -1214,6 +1143,12 @@ mod tests {
         assert!(
             matches!(cache.join_flight(fp, &id), Flight::Hit(_)),
             "completed flight must be a cache hit"
+        );
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.hits, stats.misses),
+            (0, 0),
+            "join_flight skips the lookup counters"
         );
     }
 

@@ -363,11 +363,6 @@ impl Registry {
         }
     }
 
-    /// Registers an *existing* atomic as the gauge `name`.
-    pub fn register_gauge(&self, name: &str, atomic: Arc<AtomicU64>) {
-        self.lock().insert(name.to_string(), Metric::Gauge(atomic));
-    }
-
     /// Get-or-create the histogram `name`.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
         let mut map = self.lock();

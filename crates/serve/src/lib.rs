@@ -97,10 +97,13 @@
 //! precision/recall against ground truth; they share nothing):
 //!
 //! * **Registry-backed counters.** Every counter the `stats` reply
-//!   reports is an `Arc<AtomicU64>` registered into one
-//!   [`fetch_obs::Registry`] — the `metrics` verb and the `stats` verb
-//!   read the *same atomics*, so the two can never drift (asserted
-//!   exactly, under concurrent fault-armed load, by the
+//!   reports lives in one [`fetch_obs::Registry`]: the registry creates
+//!   the service's request and delta counters, and the cache, the fault
+//!   plan and the store register their own atomics into it
+//!   ([`fetch_core::AnalysisCache::register_metrics`],
+//!   [`ResultStore::register_metrics`]). The `metrics` verb and the
+//!   `stats` verb read the *same atomics*, so the two can never drift
+//!   (asserted exactly, under concurrent fault-armed load, by the
 //!   `obs_reconciliation` property test and the `serve_load` harness).
 //!   The partition identity holds by construction:
 //!   `fetch_requests_total == cache_hits + store_hits + delta_hits +
@@ -181,4 +184,4 @@ pub use protocol::{
 };
 pub use server::{serve, serve_io, ServeSummary, ServerOptions};
 pub use service::{AnalysisService, ServeConfig, TelemetryHub};
-pub use store::{GcPolicy, ResultStore, StoreError, StoreLifecycle};
+pub use store::{GcPolicy, ResultStore, StoreError};

@@ -943,6 +943,139 @@ mod tests {
     }
 
     #[test]
+    fn stats_reply_renders_the_full_wire_schema() {
+        // A distinct value in every field, so each value found under a
+        // key proves the key renders its own field.
+        let stats = StatsReply {
+            cache: CacheStats {
+                hits: 1,
+                misses: 2,
+                evictions: 3,
+                coalesced: 4,
+                entries: 5,
+                bytes: 6,
+            },
+            store: None,
+            requests: RequestCounters {
+                requests_total: 11,
+                errors: 12,
+                analyze: 13,
+                reanalyze: 14,
+                query: 15,
+                cold: 16,
+                cache_hits: 17,
+                store_hits: 18,
+                store_errors: 19,
+                coalesced: 20,
+                shed_busy: 21,
+                rejected_too_large: 22,
+                queue_quarantined: 23,
+            },
+            delta: DeltaCounters {
+                delta_hits: 31,
+                sections_reused: 32,
+                fallback_cold: 33,
+                digest_mismatch: 34,
+            },
+            faults_injected: 41,
+        };
+        let store = StoreStats {
+            entries: 51,
+            disk_bytes: 52,
+            recovered_temps: 53,
+            quarantined: 54,
+            gc_removed: 55,
+            gc_bytes_freed: 56,
+        };
+        let blocks: [(&str, &[(&str, u64)]); 4] = [
+            (
+                "cache",
+                &[
+                    ("hits", 1),
+                    ("misses", 2),
+                    ("evictions", 3),
+                    ("coalesced", 4),
+                    ("entries", 5),
+                    ("bytes", 6),
+                ],
+            ),
+            (
+                "requests",
+                &[
+                    ("requests_total", 11),
+                    ("errors", 12),
+                    ("analyze", 13),
+                    ("reanalyze", 14),
+                    ("query", 15),
+                    ("cold", 16),
+                    ("cache_hits", 17),
+                    ("store_hits", 18),
+                    ("store_errors", 19),
+                    ("coalesced", 20),
+                    ("shed_busy", 21),
+                    ("rejected_too_large", 22),
+                    ("queue_quarantined", 23),
+                ],
+            ),
+            (
+                "delta",
+                &[
+                    ("delta_hits", 31),
+                    ("sections_reused", 32),
+                    ("fallback_cold", 33),
+                    ("digest_mismatch", 34),
+                ],
+            ),
+            (
+                "store",
+                &[
+                    ("entries", 51),
+                    ("disk_bytes", 52),
+                    ("recovered_temps", 53),
+                    ("quarantined", 54),
+                    ("gc_removed", 55),
+                    ("gc_bytes_freed", 56),
+                ],
+            ),
+        ];
+        for with_store in [false, true] {
+            let reply = Reply::Stats(StatsReply {
+                store: with_store.then_some(store),
+                ..stats
+            });
+            let json = Json::parse(&reply.to_line()).unwrap();
+            let Json::Obj(top) = &json else {
+                panic!("stats reply is not an object: {json}")
+            };
+            let mut top_keys = vec!["cache", "delta", "faults_injected", "ok", "requests"];
+            if with_store {
+                top_keys.push("store");
+            }
+            assert_eq!(top.keys().map(String::as_str).collect::<Vec<_>>(), top_keys);
+            assert_eq!(json.get("ok").and_then(Json::as_bool), Some(true));
+            assert_eq!(json.get("faults_injected").and_then(Json::as_u64), Some(41));
+            for (block, fields) in blocks {
+                if block == "store" && !with_store {
+                    continue;
+                }
+                let Some(Json::Obj(map)) = json.get(block) else {
+                    panic!("stats reply lacks the {block} block: {json}")
+                };
+                let mut keys: Vec<&str> = fields.iter().map(|(key, _)| *key).collect();
+                keys.sort_unstable();
+                assert_eq!(
+                    map.keys().map(String::as_str).collect::<Vec<_>>(),
+                    keys,
+                    "{block} key set"
+                );
+                for (key, value) in fields {
+                    assert_eq!(map[*key].as_u64(), Some(*value), "{block}.{key}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn hex_helpers_round_trip() {
         for v in [0u64, 1, 0xdead_beef, u64::MAX] {
             assert_eq!(parse_hex_u64(&hex_u64(v)), Some(v));

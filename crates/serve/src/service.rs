@@ -59,11 +59,11 @@ use fetch_core::{
     Flight, ImageDigest, Pipeline,
 };
 use fetch_disasm::RecEngine;
-use fetch_obs::{logmsg, Histogram, IdGen, LogLevel, MetricValue, Registry, Snapshot};
+use fetch_obs::{logmsg, Counter, Histogram, IdGen, LogLevel, MetricValue, Registry, Snapshot};
 use std::collections::HashMap;
 use std::io::Write;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -119,93 +119,6 @@ pub struct ServeConfig {
     pub faults: Arc<FaultPlan>,
 }
 
-/// Lock-free request counters ([`RequestCounters`] is their snapshot).
-///
-/// Every field is an `Arc<AtomicU64>` so the same atomic can be
-/// registered into the service's [`Registry`] — the `stats` reply and
-/// the `metrics` exposition read *identical* storage and therefore
-/// reconcile exactly by construction.
-#[derive(Debug, Default)]
-struct Counters {
-    requests_total: Arc<AtomicU64>,
-    errors: Arc<AtomicU64>,
-    analyze: Arc<AtomicU64>,
-    reanalyze: Arc<AtomicU64>,
-    query: Arc<AtomicU64>,
-    cold: Arc<AtomicU64>,
-    cache_hits: Arc<AtomicU64>,
-    store_hits: Arc<AtomicU64>,
-    store_errors: Arc<AtomicU64>,
-    coalesced: Arc<AtomicU64>,
-    shed_busy: Arc<AtomicU64>,
-    rejected_too_large: Arc<AtomicU64>,
-    queue_quarantined: Arc<AtomicU64>,
-    delta_hits: Arc<AtomicU64>,
-    sections_reused: Arc<AtomicU64>,
-    fallback_cold: Arc<AtomicU64>,
-    digest_mismatch: Arc<AtomicU64>,
-}
-
-impl Counters {
-    /// Binds every counter into `registry` under its exposition name.
-    fn register(&self, registry: &Registry) {
-        for (name, atomic) in [
-            ("fetch_requests_total", &self.requests_total),
-            ("fetch_requests_errors_total", &self.errors),
-            ("fetch_requests_analyze_total", &self.analyze),
-            ("fetch_requests_reanalyze_total", &self.reanalyze),
-            ("fetch_requests_query_total", &self.query),
-            ("fetch_requests_cold_total", &self.cold),
-            ("fetch_requests_cache_hits_total", &self.cache_hits),
-            ("fetch_requests_store_hits_total", &self.store_hits),
-            ("fetch_requests_store_errors_total", &self.store_errors),
-            ("fetch_requests_coalesced_total", &self.coalesced),
-            ("fetch_requests_shed_busy_total", &self.shed_busy),
-            (
-                "fetch_requests_rejected_too_large_total",
-                &self.rejected_too_large,
-            ),
-            (
-                "fetch_requests_queue_quarantined_total",
-                &self.queue_quarantined,
-            ),
-            ("fetch_delta_hits_total", &self.delta_hits),
-            ("fetch_delta_sections_reused_total", &self.sections_reused),
-            ("fetch_delta_fallback_cold_total", &self.fallback_cold),
-            ("fetch_delta_digest_mismatch_total", &self.digest_mismatch),
-        ] {
-            registry.register_counter(name, Arc::clone(atomic));
-        }
-    }
-
-    fn snapshot(&self) -> RequestCounters {
-        RequestCounters {
-            requests_total: self.requests_total.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            analyze: self.analyze.load(Ordering::Relaxed),
-            reanalyze: self.reanalyze.load(Ordering::Relaxed),
-            query: self.query.load(Ordering::Relaxed),
-            cold: self.cold.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            store_hits: self.store_hits.load(Ordering::Relaxed),
-            store_errors: self.store_errors.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            shed_busy: self.shed_busy.load(Ordering::Relaxed),
-            rejected_too_large: self.rejected_too_large.load(Ordering::Relaxed),
-            queue_quarantined: self.queue_quarantined.load(Ordering::Relaxed),
-        }
-    }
-
-    fn delta_snapshot(&self) -> DeltaCounters {
-        DeltaCounters {
-            delta_hits: self.delta_hits.load(Ordering::Relaxed),
-            sections_reused: self.sections_reused.load(Ordering::Relaxed),
-            fallback_cold: self.fallback_cold.load(Ordering::Relaxed),
-            digest_mismatch: self.digest_mismatch.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// The answer-source tokens a request latency is bucketed under —
 /// `fetch_request_us{source="…"}` histograms, one per token. The sum of
 /// their counts equals `fetch_requests_total` (every answer-path
@@ -221,12 +134,35 @@ const REQUEST_SOURCES: [&str; 7] = [
 ];
 
 /// The observability core of one service instance: the metric registry
-/// plus the pre-resolved histogram handles of every instrumented site
-/// on the answer path (resolving by name per request would take the
-/// registry lock on the hot path).
+/// plus the pre-resolved counter and histogram handles of every
+/// instrumented site on the answer path (resolving by name per request
+/// would take the registry lock on the hot path).
+///
+/// The registry creates every counter the `stats` reply reports, so
+/// `stats` and the `metrics` exposition read the same atomics and
+/// reconcile exactly by construction.
 pub(crate) struct ServiceObs {
     pub(crate) registry: Arc<Registry>,
     ids: IdGen,
+    /// The `stats` reply's `requests` block ([`RequestCounters`]).
+    requests_total: Counter,
+    errors: Counter,
+    analyze: Counter,
+    reanalyze: Counter,
+    query: Counter,
+    cold: Counter,
+    cache_hits: Counter,
+    store_hits: Counter,
+    store_errors: Counter,
+    coalesced: Counter,
+    shed_busy: Counter,
+    rejected_too_large: Counter,
+    queue_quarantined: Counter,
+    /// The `stats` reply's `delta` block ([`DeltaCounters`]).
+    delta_hits: Counter,
+    sections_reused: Counter,
+    fallback_cold: Counter,
+    digest_mismatch: Counter,
     /// Request latency per answer source, [`REQUEST_SOURCES`] order.
     request_us: [Arc<Histogram>; 7],
     /// Wall time a connection sat in the server's pending queue.
@@ -253,6 +189,23 @@ impl ServiceObs {
             .map(|source| registry.histogram(&format!("fetch_request_us{{source=\"{source}\"}}")));
         ServiceObs {
             ids: IdGen::new(),
+            requests_total: registry.counter("fetch_requests_total"),
+            errors: registry.counter("fetch_requests_errors_total"),
+            analyze: registry.counter("fetch_requests_analyze_total"),
+            reanalyze: registry.counter("fetch_requests_reanalyze_total"),
+            query: registry.counter("fetch_requests_query_total"),
+            cold: registry.counter("fetch_requests_cold_total"),
+            cache_hits: registry.counter("fetch_requests_cache_hits_total"),
+            store_hits: registry.counter("fetch_requests_store_hits_total"),
+            store_errors: registry.counter("fetch_requests_store_errors_total"),
+            coalesced: registry.counter("fetch_requests_coalesced_total"),
+            shed_busy: registry.counter("fetch_requests_shed_busy_total"),
+            rejected_too_large: registry.counter("fetch_requests_rejected_too_large_total"),
+            queue_quarantined: registry.counter("fetch_requests_queue_quarantined_total"),
+            delta_hits: registry.counter("fetch_delta_hits_total"),
+            sections_reused: registry.counter("fetch_delta_sections_reused_total"),
+            fallback_cold: registry.counter("fetch_delta_fallback_cold_total"),
+            digest_mismatch: registry.counter("fetch_delta_digest_mismatch_total"),
             queue_wait_us: registry.histogram("fetch_queue_wait_us"),
             reply_write_us: registry.histogram("fetch_reply_write_us"),
             coalesce_leader_us: registry.histogram("fetch_coalesce_leader_us"),
@@ -295,7 +248,6 @@ pub struct AnalysisService {
     /// colds never contend on one engine.
     engines: Mutex<Vec<RecEngine>>,
     telemetry: TelemetryHub,
-    counters: Counters,
     faults: Arc<FaultPlan>,
     shutdown: AtomicBool,
     obs: ServiceObs,
@@ -317,13 +269,8 @@ impl AnalysisService {
             None => None,
         };
         if let Some(store) = &mut store {
-            store.bind_obs(
-                registry.histogram("fetch_store_save_us"),
-                registry.histogram("fetch_store_load_us"),
-            );
+            store.register_metrics(&registry);
         }
-        let counters = Counters::default();
-        counters.register(&registry);
         let cache = AnalysisCache::with_capacity(config.cache_capacity);
         cache.register_metrics(&registry, "fetch_cache");
         registry.register_counter("fetch_faults_injected_total", config.faults.fired_handle());
@@ -338,7 +285,6 @@ impl AnalysisService {
             store,
             engines: Mutex::new(Vec::new()),
             telemetry: TelemetryHub::default(),
-            counters,
             faults: config.faults.clone(),
             shutdown: AtomicBool::new(false),
             obs,
@@ -389,23 +335,19 @@ impl AnalysisService {
     /// `source="shed"` latency histogram (the daemon spent ~no time on
     /// them), so the reconciliation identity covers load shedding.
     pub fn note_shed_busy(&self) {
-        self.counters.requests_total.fetch_add(1, Ordering::Relaxed);
-        self.counters.shed_busy.fetch_add(1, Ordering::Relaxed);
+        self.obs.requests_total.inc();
+        self.obs.shed_busy.inc();
         self.obs.request_hist("shed").record(0);
     }
 
     /// Records a request rejected with `too_large` (transport-level).
     pub fn note_rejected_too_large(&self) {
-        self.counters
-            .rejected_too_large
-            .fetch_add(1, Ordering::Relaxed);
+        self.obs.rejected_too_large.inc();
     }
 
     /// Records a directory-queue request moved to quarantine.
     pub fn note_queue_quarantined(&self) {
-        self.counters
-            .queue_quarantined
-            .fetch_add(1, Ordering::Relaxed);
+        self.obs.queue_quarantined.inc();
     }
 
     /// Handles one request under a freshly drawn request ID. Every path
@@ -421,72 +363,30 @@ impl AnalysisService {
     /// envelope ([`Reply::to_line_with`]) and their log lines.
     ///
     /// Answer-path requests (`analyze`/`reanalyze`/`query`) are counted
-    /// into `requests_total`, bucketed into exactly one outcome counter
-    /// (hit/cold/coalesced/delta/error), and recorded into exactly one
-    /// `fetch_request_us{source="…"}` latency histogram.
+    /// into their verb's counter and `requests_total`, bucketed into
+    /// exactly one outcome counter (hit/cold/coalesced/delta/error), and
+    /// recorded into exactly one `fetch_request_us{source="…"}` latency
+    /// histogram.
     pub fn handle_with_id(&self, req_id: u64, request: Request) -> Reply {
         match request {
             Request::Analyze { input, pipeline } => {
-                let t0 = Instant::now();
-                self.counters.requests_total.fetch_add(1, Ordering::Relaxed);
-                let reply = match self.analyze(req_id, input, &pipeline) {
-                    Ok(reply) => {
-                        self.emit(&reply);
-                        Reply::Analyze(reply)
-                    }
-                    Err((code, message)) => {
-                        self.counters.errors.fetch_add(1, Ordering::Relaxed);
-                        Reply::error(code, message)
-                    }
-                };
-                self.record_request(&reply, t0);
-                reply
+                self.obs.analyze.inc();
+                self.answer(|| self.analyze(req_id, input, &pipeline))
             }
             Request::Reanalyze {
                 prev_fingerprint,
                 input,
                 pipeline,
             } => {
-                let t0 = Instant::now();
-                self.counters.requests_total.fetch_add(1, Ordering::Relaxed);
-                let reply = match self.reanalyze(req_id, prev_fingerprint, input, &pipeline) {
-                    Ok(reply) => {
-                        self.emit(&reply);
-                        Reply::Analyze(reply)
-                    }
-                    Err((code, message)) => {
-                        self.counters.errors.fetch_add(1, Ordering::Relaxed);
-                        Reply::error(code, message)
-                    }
-                };
-                self.record_request(&reply, t0);
-                reply
+                self.obs.reanalyze.inc();
+                self.answer(|| self.reanalyze(req_id, prev_fingerprint, input, &pipeline))
             }
             Request::Query {
                 fingerprint,
                 pipeline_id,
             } => {
-                let t0 = Instant::now();
-                self.counters.requests_total.fetch_add(1, Ordering::Relaxed);
-                self.counters.query.fetch_add(1, Ordering::Relaxed);
-                let reply = match self.lookup_warm(req_id, fingerprint, &pipeline_id) {
-                    Some((reply, _has_digest)) => {
-                        self.emit(&reply);
-                        Reply::Analyze(reply)
-                    }
-                    None => {
-                        self.counters.errors.fetch_add(1, Ordering::Relaxed);
-                        Reply::error(
-                            ErrorCode::NotFound,
-                            format!(
-                                "no cached or stored result for ({}, {pipeline_id})",
-                                crate::protocol::hex_u64(fingerprint)
-                            ),
-                        )
-                    }
-                };
-                self.record_request(&reply, t0);
-                reply
+                self.obs.query.inc();
+                self.answer(|| self.query(req_id, fingerprint, &pipeline_id))
             }
             Request::Stats => Reply::Stats(self.stats()),
             Request::Metrics => Reply::Metrics(self.metrics_reply()),
@@ -498,16 +398,30 @@ impl AnalysisService {
         }
     }
 
-    /// Buckets one finished answer-path request into its
-    /// `fetch_request_us{source="…"}` histogram.
-    fn record_request(&self, reply: &Reply, t0: Instant) {
-        let source = match reply {
-            Reply::Analyze(a) => a.source.token(),
-            _ => "error",
+    /// Runs one answer-path verb: counts it into `requests_total` (and
+    /// into `errors` when it fails), broadcasts a success's telemetry,
+    /// and records the request into exactly one
+    /// `fetch_request_us{source="…"}` latency histogram. The verb itself
+    /// buckets a success into exactly one outcome counter
+    /// (hit/cold/coalesced/delta).
+    fn answer(&self, verb: impl FnOnce() -> Result<AnalyzeReply, (ErrorCode, String)>) -> Reply {
+        let t0 = Instant::now();
+        self.obs.requests_total.inc();
+        let (reply, source) = match verb() {
+            Ok(reply) => {
+                self.emit(&reply);
+                let source = reply.source.token();
+                (Reply::Analyze(reply), source)
+            }
+            Err((code, message)) => {
+                self.obs.errors.inc();
+                (Reply::error(code, message), "error")
+            }
         };
         self.obs
             .request_hist(source)
             .record(t0.elapsed().as_micros() as u64);
+        reply
     }
 
     /// Builds the `metrics` reply: point-in-time gauges are refreshed
@@ -542,11 +456,31 @@ impl AnalysisService {
 
     /// The service's statistics snapshot.
     pub fn stats(&self) -> StatsReply {
+        let o = &self.obs;
         StatsReply {
             cache: self.cache.stats(),
             store: self.store.as_ref().and_then(|s| s.stats().ok()),
-            requests: self.counters.snapshot(),
-            delta: self.counters.delta_snapshot(),
+            requests: RequestCounters {
+                requests_total: o.requests_total.get(),
+                errors: o.errors.get(),
+                analyze: o.analyze.get(),
+                reanalyze: o.reanalyze.get(),
+                query: o.query.get(),
+                cold: o.cold.get(),
+                cache_hits: o.cache_hits.get(),
+                store_hits: o.store_hits.get(),
+                store_errors: o.store_errors.get(),
+                coalesced: o.coalesced.get(),
+                shed_busy: o.shed_busy.get(),
+                rejected_too_large: o.rejected_too_large.get(),
+                queue_quarantined: o.queue_quarantined.get(),
+            },
+            delta: DeltaCounters {
+                delta_hits: o.delta_hits.get(),
+                sections_reused: o.sections_reused.get(),
+                fallback_cold: o.fallback_cold.get(),
+                digest_mismatch: o.digest_mismatch.get(),
+            },
             faults_injected: self.faults.fired(),
         }
     }
@@ -557,6 +491,25 @@ impl AnalysisService {
         }
         for event in telemetry_events(reply) {
             self.telemetry.broadcast(&event);
+        }
+    }
+
+    /// The `query` path: a warm answer or `not_found` — never a compute.
+    fn query(
+        &self,
+        req_id: u64,
+        fingerprint: u64,
+        pipeline_id: &str,
+    ) -> Result<AnalyzeReply, (ErrorCode, String)> {
+        match self.lookup_warm(req_id, fingerprint, pipeline_id) {
+            Some((reply, _has_digest)) => Ok(reply),
+            None => Err((
+                ErrorCode::NotFound,
+                format!(
+                    "no cached or stored result for ({}, {pipeline_id})",
+                    crate::protocol::hex_u64(fingerprint)
+                ),
+            )),
         }
     }
 
@@ -572,48 +525,67 @@ impl AnalysisService {
         pipeline_id: &str,
     ) -> Option<(AnalyzeReply, bool)> {
         let t0 = Instant::now();
+        let reply = |source, result| AnalyzeReply {
+            req_id,
+            fingerprint,
+            pipeline_id: pipeline_id.to_string(),
+            source,
+            wall_us: t0.elapsed().as_secs_f64() * 1e6,
+            result,
+        };
         if let Some((result, digest)) = self.cache.lookup_with_digest(fingerprint, pipeline_id) {
-            self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Some((
-                AnalyzeReply {
-                    req_id,
-                    fingerprint,
-                    pipeline_id: pipeline_id.to_string(),
-                    source: ServeSource::CacheHit,
-                    wall_us: t0.elapsed().as_secs_f64() * 1e6,
-                    result,
-                },
-                digest.is_some(),
-            ));
+            self.obs.cache_hits.inc();
+            return Some((reply(ServeSource::CacheHit, result), digest.is_some()));
         }
-        match self
-            .store
-            .as_ref()
-            .map(|s| s.load_full(fingerprint, pipeline_id))
-        {
-            Some(Ok(Some((result, digest)))) => {
-                self.counters.store_hits.fetch_add(1, Ordering::Relaxed);
-                let has_digest = digest.is_some();
-                let result = self.cache.insert_with_digest(
-                    fingerprint,
-                    pipeline_id,
-                    Arc::new(result),
-                    digest.map(Arc::new),
-                );
-                Some((
-                    AnalyzeReply {
-                        req_id,
-                        fingerprint,
-                        pipeline_id: pipeline_id.to_string(),
-                        source: ServeSource::StoreHit,
-                        wall_us: t0.elapsed().as_secs_f64() * 1e6,
-                        result,
-                    },
-                    has_digest,
-                ))
-            }
-            Some(Err(e)) => {
-                self.counters.store_errors.fetch_add(1, Ordering::Relaxed);
+        let (result, digest) = self.load_stored(req_id, fingerprint, pipeline_id)?;
+        self.obs.store_hits.inc();
+        let has_digest = digest.is_some();
+        let result = self.cache.insert_with_digest(
+            fingerprint,
+            pipeline_id,
+            Arc::new(result),
+            digest.map(Arc::new),
+        );
+        Some((reply(ServeSource::StoreHit, result), has_digest))
+    }
+
+    /// The warm half of `analyze`/`reanalyze`: [`lookup_warm`], with a
+    /// digest-less (pre-digest) entry healed now that the image is in
+    /// hand — so a later reanalyze can delta against it — and the reply
+    /// charged the full request time since `t0` (parse included).
+    ///
+    /// [`lookup_warm`]: AnalysisService::lookup_warm
+    fn answer_warm(
+        &self,
+        req_id: u64,
+        image: &ElfImage,
+        fingerprint: u64,
+        pipeline_id: &str,
+        t0: Instant,
+    ) -> Option<AnalyzeReply> {
+        let (mut warm, has_digest) = self.lookup_warm(req_id, fingerprint, pipeline_id)?;
+        if !has_digest {
+            let digest = Arc::new(ImageDigest::compute(&image.to_binary(), fingerprint));
+            warm.result =
+                self.publish_digest(req_id, fingerprint, pipeline_id, warm.result, digest);
+        }
+        warm.wall_us = t0.elapsed().as_secs_f64() * 1e6;
+        Some(warm)
+    }
+
+    /// Loads `(fingerprint, pipeline_id)` from the store, when one is
+    /// configured. A rejected entry is counted into `store_errors`,
+    /// logged, and reads as absent, so the caller recomputes it.
+    fn load_stored(
+        &self,
+        req_id: u64,
+        fingerprint: u64,
+        pipeline_id: &str,
+    ) -> Option<(DetectionResult, Option<ImageDigest>)> {
+        match self.store.as_ref()?.load_full(fingerprint, pipeline_id) {
+            Ok(found) => found,
+            Err(e) => {
+                self.obs.store_errors.inc();
                 logmsg!(
                     LogLevel::Warn,
                     req_id,
@@ -622,7 +594,6 @@ impl AnalysisService {
                 );
                 None
             }
-            Some(Ok(None)) | None => None,
         }
     }
 
@@ -698,55 +669,30 @@ impl AnalysisService {
         input: AnalyzeInput,
         pipeline: &Pipeline,
     ) -> Result<AnalyzeReply, (ErrorCode, String)> {
-        self.counters.analyze.fetch_add(1, Ordering::Relaxed);
         let t0 = Instant::now();
         let image = self.load_image(input)?;
         let fingerprint = image_fingerprint(&image);
         let pipeline_id = pipeline.id();
-
-        if let Some((mut warm, has_digest)) = self.lookup_warm(req_id, fingerprint, &pipeline_id) {
-            if !has_digest {
-                // A pre-digest entry, and we have the image in hand:
-                // heal it so a later reanalyze can delta against it.
-                let digest = Arc::new(ImageDigest::compute(&image.to_binary(), fingerprint));
-                warm.result =
-                    self.publish_digest(req_id, fingerprint, &pipeline_id, warm.result, digest);
-            }
-            // Charge the reply the full request time (parse included).
-            warm.wall_us = t0.elapsed().as_secs_f64() * 1e6;
+        if let Some(warm) = self.answer_warm(req_id, &image, fingerprint, &pipeline_id, t0) {
             return Ok(warm);
         }
 
         // Cold path, coalesced: the first arrival leads and computes;
         // concurrent arrivals for the same key wait on the flight.
-        loop {
+        let (source, result) = loop {
             let t_join = Instant::now();
             match self.cache.join_flight(fingerprint, &pipeline_id) {
                 Flight::Hit(result) => {
                     // Completed between our lookup and the join.
-                    self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(AnalyzeReply {
-                        req_id,
-                        fingerprint,
-                        pipeline_id,
-                        source: ServeSource::CacheHit,
-                        wall_us: t0.elapsed().as_secs_f64() * 1e6,
-                        result,
-                    });
+                    self.obs.cache_hits.inc();
+                    break (ServeSource::CacheHit, result);
                 }
                 Flight::Waited(Some(result)) => {
-                    self.counters.coalesced.fetch_add(1, Ordering::Relaxed);
+                    self.obs.coalesced.inc();
                     self.obs
                         .coalesce_wait_us
                         .record(t_join.elapsed().as_micros() as u64);
-                    return Ok(AnalyzeReply {
-                        req_id,
-                        fingerprint,
-                        pipeline_id,
-                        source: ServeSource::Coalesced,
-                        wall_us: t0.elapsed().as_secs_f64() * 1e6,
-                        result,
-                    });
+                    break (ServeSource::Coalesced, result);
                 }
                 // The leader aborted without an answer; rejoin (one of
                 // the waiters — possibly us — takes over as leader).
@@ -762,7 +708,7 @@ impl AnalysisService {
                             FaultPlan::injected_error(FaultPlan::COMPUTE).to_string(),
                         ));
                     }
-                    self.counters.cold.fetch_add(1, Ordering::Relaxed);
+                    self.obs.cold.inc();
                     let binary = image.to_binary();
                     let result = Arc::new(self.compute(pipeline, &binary));
                     // Publish to cache and waiters first; digest + disk
@@ -775,17 +721,18 @@ impl AnalysisService {
                     let digest = Arc::new(ImageDigest::compute(&binary, fingerprint));
                     let result =
                         self.publish_digest(req_id, fingerprint, &pipeline_id, result, digest);
-                    return Ok(AnalyzeReply {
-                        req_id,
-                        fingerprint,
-                        pipeline_id,
-                        source: ServeSource::Cold,
-                        wall_us: t0.elapsed().as_secs_f64() * 1e6,
-                        result,
-                    });
+                    break (ServeSource::Cold, result);
                 }
             }
-        }
+        };
+        Ok(AnalyzeReply {
+            req_id,
+            fingerprint,
+            pipeline_id,
+            source,
+            wall_us: t0.elapsed().as_secs_f64() * 1e6,
+            result,
+        })
     }
 
     /// The `reanalyze` path: answer a new version of a known binary
@@ -817,21 +764,13 @@ impl AnalysisService {
         input: AnalyzeInput,
         pipeline: &Pipeline,
     ) -> Result<AnalyzeReply, (ErrorCode, String)> {
-        self.counters.reanalyze.fetch_add(1, Ordering::Relaxed);
         let t0 = Instant::now();
         let image = self.load_image(input)?;
         let fingerprint = image_fingerprint(&image);
         let pipeline_id = pipeline.id();
-
         // The new version may already be known (a resubmission, or two
         // clients racing on the same rebuild): warm answers win.
-        if let Some((mut warm, has_digest)) = self.lookup_warm(req_id, fingerprint, &pipeline_id) {
-            if !has_digest {
-                let digest = Arc::new(ImageDigest::compute(&image.to_binary(), fingerprint));
-                warm.result =
-                    self.publish_digest(req_id, fingerprint, &pipeline_id, warm.result, digest);
-            }
-            warm.wall_us = t0.elapsed().as_secs_f64() * 1e6;
+        if let Some(warm) = self.answer_warm(req_id, &image, fingerprint, &pipeline_id, t0) {
             return Ok(warm);
         }
 
@@ -842,26 +781,8 @@ impl AnalysisService {
             .cache
             .lookup_with_digest(prev_fingerprint, &pipeline_id)
             .or_else(|| {
-                match self
-                    .store
-                    .as_ref()
-                    .map(|s| s.load_full(prev_fingerprint, &pipeline_id))
-                {
-                    Some(Ok(Some((result, digest)))) => {
-                        Some((Arc::new(result), digest.map(Arc::new)))
-                    }
-                    Some(Err(e)) => {
-                        self.counters.store_errors.fetch_add(1, Ordering::Relaxed);
-                        logmsg!(
-                            LogLevel::Warn,
-                            req_id,
-                            "fetch-serve: rejecting store entry for ({}, {pipeline_id}): {e}",
-                            crate::protocol::hex_u64(prev_fingerprint)
-                        );
-                        None
-                    }
-                    Some(Ok(None)) | None => None,
-                }
+                let (result, digest) = self.load_stored(req_id, prev_fingerprint, &pipeline_id)?;
+                Some((Arc::new(result), digest.map(Arc::new)))
             });
 
         let binary = image.to_binary();
@@ -888,23 +809,16 @@ impl AnalysisService {
             ),
         };
 
-        self.counters
-            .sections_reused
-            .fetch_add(sections_reused as u64, Ordering::Relaxed);
+        self.obs.sections_reused.add(sections_reused as u64);
         let source = if class.is_hit() {
-            self.counters.delta_hits.fetch_add(1, Ordering::Relaxed);
+            self.obs.delta_hits.inc();
             ServeSource::Delta
         } else {
             match class {
-                DeltaClass::Recompute => {
-                    self.counters.fallback_cold.fetch_add(1, Ordering::Relaxed)
-                }
-                _ => self
-                    .counters
-                    .digest_mismatch
-                    .fetch_add(1, Ordering::Relaxed),
-            };
-            self.counters.cold.fetch_add(1, Ordering::Relaxed);
+                DeltaClass::Recompute => self.obs.fallback_cold.inc(),
+                _ => self.obs.digest_mismatch.inc(),
+            }
+            self.obs.cold.inc();
             // A non-hit tier ran the pipeline: its trace is fresh.
             self.obs.record_layer_walls(&result);
             ServeSource::Cold
@@ -1075,6 +989,61 @@ mod tests {
         assert_eq!(
             reply_source(&third.handle(analyze_req(elf))),
             ServeSource::StoreHit
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn store_lifecycle_counters_reconcile_with_metrics() {
+        let dir = scratch_dir("storecounters");
+        let case = synthesize(&SynthConfig::small(69));
+        let config = ServeConfig {
+            store_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        };
+        let service = AnalysisService::new(&config).unwrap();
+        assert_eq!(
+            reply_source(&service.handle(analyze_req(write_elf(&case.binary)))),
+            ServeSource::Cold
+        );
+        drop(service);
+
+        // Seed the crash shapes: an orphaned temp file and a truncated
+        // entry.
+        let entry = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .find(|p| p.extension().is_some_and(|e| e == "fres"))
+            .expect("one persisted entry");
+        std::fs::write(dir.join("orphan.tmp"), b"orphan").unwrap();
+        let full = std::fs::read(&entry).unwrap();
+        std::fs::write(&entry, &full[..full.len() / 3]).unwrap();
+
+        // The restart's recovery sweep reaps and quarantines them; the
+        // `stats` store block and the exposition read the same atomics.
+        let restarted = AnalysisService::new(&config).unwrap();
+        let store = restarted.stats().store.expect("a store is configured");
+        assert_eq!(store.recovered_temps, 1, "orphan temp reaped");
+        assert_eq!(store.quarantined, 1, "truncated entry quarantined");
+        let metrics = match restarted.handle(Request::Metrics) {
+            Reply::Metrics(m) => m.metrics,
+            other => panic!("{other:?}"),
+        };
+        let metric = |name: &str| {
+            metrics
+                .get(name)
+                .and_then(Json::as_u64)
+                .unwrap_or_else(|| panic!("metrics reply lacks {name}"))
+        };
+        assert_eq!(
+            metric("fetch_store_recovered_temps_total"),
+            store.recovered_temps
+        );
+        assert_eq!(metric("fetch_store_quarantined_total"), store.quarantined);
+        assert_eq!(metric("fetch_store_gc_removed_total"), store.gc_removed);
+        assert_eq!(
+            metric("fetch_store_gc_bytes_freed_total"),
+            store.gc_bytes_freed
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -41,7 +41,7 @@ use fetch_core::{
     deserialize_result_full, serialize_result_with_digest, DetectionResult, ImageDigest,
     SerialError,
 };
-use fetch_obs::{logmsg, Histogram, LogLevel};
+use fetch_obs::{logmsg, Histogram, LogLevel, Registry};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -125,20 +125,6 @@ impl GcPolicy {
     }
 }
 
-/// Monotone lifecycle counters of one [`ResultStore`] instance,
-/// surfaced through the daemon's `stats` reply.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StoreLifecycle {
-    /// Orphaned temp files reaped (startup recovery + compaction).
-    pub recovered_temps: u64,
-    /// Entries that failed validation and were moved to `quarantine/`.
-    pub quarantined: u64,
-    /// Entries removed by age/size GC.
-    pub gc_removed: u64,
-    /// Bytes freed by age/size GC.
-    pub gc_bytes_freed: u64,
-}
-
 /// The on-disk result store (see the [module docs](self)).
 #[derive(Debug)]
 pub struct ResultStore {
@@ -155,13 +141,17 @@ pub struct ResultStore {
     /// after each save is counter-only (a sweep rescans exactly).
     entries_approx: AtomicU64,
     bytes_approx: AtomicU64,
-    recovered_temps: AtomicU64,
-    quarantined: AtomicU64,
-    gc_removed: AtomicU64,
-    gc_bytes_freed: AtomicU64,
+    /// Orphaned temp files reaped (startup recovery + compaction).
+    recovered_temps: Arc<AtomicU64>,
+    /// Entries that failed validation and were moved to `quarantine/`.
+    quarantined: Arc<AtomicU64>,
+    /// Entries removed by age/size GC.
+    gc_removed: Arc<AtomicU64>,
+    /// Bytes freed by age/size GC.
+    gc_bytes_freed: Arc<AtomicU64>,
     /// Save/load latency histograms, bound by the daemon via
-    /// [`ResultStore::bind_obs`] (`None` outside a daemon — the store
-    /// then times nothing).
+    /// [`ResultStore::register_metrics`] (`None` outside a daemon — the
+    /// store then times nothing).
     save_us: Option<Arc<Histogram>>,
     load_us: Option<Arc<Histogram>>,
 }
@@ -192,10 +182,10 @@ impl ResultStore {
             tmp_seq: AtomicU64::new(0),
             entries_approx: AtomicU64::new(0),
             bytes_approx: AtomicU64::new(0),
-            recovered_temps: AtomicU64::new(0),
-            quarantined: AtomicU64::new(0),
-            gc_removed: AtomicU64::new(0),
-            gc_bytes_freed: AtomicU64::new(0),
+            recovered_temps: Arc::default(),
+            quarantined: Arc::default(),
+            gc_removed: Arc::default(),
+            gc_bytes_freed: Arc::default(),
             save_us: None,
             load_us: None,
         };
@@ -203,13 +193,24 @@ impl ResultStore {
         Ok(store)
     }
 
-    /// Binds save/load latency histograms (microseconds per operation,
-    /// failures included — a failed save still cost its wall time).
-    /// The daemon calls this once at startup with histograms from its
-    /// metric registry; an unbound store records nothing.
-    pub fn bind_obs(&mut self, save_us: Arc<Histogram>, load_us: Arc<Histogram>) {
-        self.save_us = Some(save_us);
-        self.load_us = Some(load_us);
+    /// Registers the store's metrics into `registry`: save/load latency
+    /// histograms (`fetch_store_save_us`, `fetch_store_load_us`;
+    /// microseconds per operation, failures included — a failed save
+    /// still cost its wall time) and the lifecycle counters as
+    /// `fetch_store_{recovered_temps,quarantined,gc_removed,gc_bytes_freed}_total`,
+    /// which read this store's own atomics. The daemon calls this once
+    /// at startup; an unregistered store times nothing.
+    pub fn register_metrics(&mut self, registry: &Registry) {
+        self.save_us = Some(registry.histogram("fetch_store_save_us"));
+        self.load_us = Some(registry.histogram("fetch_store_load_us"));
+        for (name, atomic) in [
+            ("fetch_store_recovered_temps_total", &self.recovered_temps),
+            ("fetch_store_quarantined_total", &self.quarantined),
+            ("fetch_store_gc_removed_total", &self.gc_removed),
+            ("fetch_store_gc_bytes_freed_total", &self.gc_bytes_freed),
+        ] {
+            registry.register_counter(name, Arc::clone(atomic));
+        }
     }
 
     /// The store's root directory.
@@ -220,16 +221,6 @@ impl ResultStore {
     /// The configured GC policy.
     pub fn gc_policy(&self) -> GcPolicy {
         self.gc
-    }
-
-    /// The lifecycle counters of this store instance.
-    pub fn lifecycle(&self) -> StoreLifecycle {
-        StoreLifecycle {
-            recovered_temps: self.recovered_temps.load(Ordering::Relaxed),
-            quarantined: self.quarantined.load(Ordering::Relaxed),
-            gc_removed: self.gc_removed.load(Ordering::Relaxed),
-            gc_bytes_freed: self.gc_bytes_freed.load(Ordering::Relaxed),
-        }
     }
 
     fn path_for(&self, fingerprint: u64, pipeline_id: &str) -> PathBuf {
@@ -641,14 +632,13 @@ impl ResultStore {
                 disk_bytes += entry.metadata()?.len();
             }
         }
-        let lifecycle = self.lifecycle();
         Ok(crate::protocol::StoreStats {
             entries,
             disk_bytes,
-            recovered_temps: lifecycle.recovered_temps,
-            quarantined: lifecycle.quarantined,
-            gc_removed: lifecycle.gc_removed,
-            gc_bytes_freed: lifecycle.gc_bytes_freed,
+            recovered_temps: self.recovered_temps.load(Ordering::Relaxed),
+            quarantined: self.quarantined.load(Ordering::Relaxed),
+            gc_removed: self.gc_removed.load(Ordering::Relaxed),
+            gc_bytes_freed: self.gc_bytes_freed.load(Ordering::Relaxed),
         })
     }
 }
